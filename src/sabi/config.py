@@ -10,51 +10,55 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .dynamics import get_model
+from .dynamics import ModelSpec, get_model
 from .errors import ConfigError
 from .grid import GridSpec, TWO_PI, VectorField
 from .integrators import IntegratorConfig
 from .noise import NoiseModel, make_constant_mode, make_divfree_mode
-from .presets import PRESET_MODELS
+from .presets import check_preset
 
 SCHEMA_VERSION = 1
 
-_DEFAULT_SCHEME = {
-    "bi": "rk4",
-    "maxwell": "rk4",
-    "mhd": "rk4",
-    "maxwell-expectation": "rk4",
-    "bi-stratonovich": "heun",
-    "maxwell-stratonovich": "heun",
-    "mhd-stratonovich": "heun",
-    "euler-vorticity": "rk4",  # heun once noise modes are configured
-    "bi-ito": "euler-maruyama",
-    "maxwell-ito": "euler-maruyama",
-}
+# the scheme that converges to each calculus; ModelSpec.calculus picks it
+_CALCULUS_SCHEME = {None: "rk4", "stratonovich": "heun", "ito": "euler-maruyama"}
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
-_ALLOWED_SCHEMES = {
-    "bi": ("rk4",),
-    "maxwell": ("rk4",),
-    "mhd": ("rk4",),
-    "maxwell-expectation": ("rk4",),
-    "bi-stratonovich": ("heun",),
-    "maxwell-stratonovich": ("heun",),
-    "mhd-stratonovich": ("heun",),
-    "euler-vorticity": ("rk4", "heun"),
-    "bi-ito": ("euler-maruyama",),
-    "maxwell-ito": ("euler-maruyama",),
-}
 
 def _require_keys(section: str, data: dict, allowed: set[str], required: set[str] = frozenset()):
+    if not isinstance(data, dict):
+        raise ConfigError(f"{section}: expected an object, got {data!r}")
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"{section}: unknown key(s) {sorted(unknown)}")
     missing = required - set(data)
     if missing:
         raise ConfigError(f"{section}: missing required key(s) {sorted(missing)}")
+
+
+def _typed(name: str, value, kind: type):
+    """value checked against its JSON type: int (an integer, not a bool),
+    float (a finite number; integers are accepted and converted), bool or
+    str."""
+    if kind is float:  # the bound also rejects NaN and integers beyond float range
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        ok = ok and abs(value) <= sys.float_info.max
+    elif kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"{name}: expected {_KIND_NAMES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _typed_vector(name: str, value, kind: type) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ConfigError(f"{name}: need 3 components, got {value!r}")
+    return tuple(_typed(f"{name}[{i}]", x, kind) for i, x in enumerate(value))
 
 
 @dataclass(frozen=True)
@@ -65,16 +69,6 @@ class InitialConfig:
     kmax: int = 2
     k: int = 1
     momentum_amplitude: float = 0.3
-
-    def to_dict(self) -> dict:
-        return {
-            "preset": self.preset,
-            "seed": self.seed,
-            "amplitude": self.amplitude,
-            "kmax": self.kmax,
-            "k": self.k,
-            "momentum_amplitude": self.momentum_amplitude,
-        }
 
 
 @dataclass(frozen=True)
@@ -98,9 +92,6 @@ class EnsembleConfig:
     members: int = 1
     seed: int = 0
 
-    def to_dict(self) -> dict:
-        return {"members": self.members, "seed": self.seed}
-
 
 @dataclass(frozen=True)
 class OutputConfig:
@@ -108,14 +99,6 @@ class OutputConfig:
     snapshot_interval: int = 0  # steps; 0 disables (final state still written)
     diagnostics_interval: int = 10
     checkpoint_interval: int = 0  # steps; 0 disables
-
-    def to_dict(self) -> dict:
-        return {
-            "directory": self.directory,
-            "snapshot_interval": self.snapshot_interval,
-            "diagnostics_interval": self.diagnostics_interval,
-            "checkpoint_interval": self.checkpoint_interval,
-        }
 
 
 @dataclass(frozen=True)
@@ -132,25 +115,12 @@ class RunConfig:
         return {
             "schema": SCHEMA_VERSION,
             "model": self.model,
-            "grid": {
-                "nx": self.grid.nx,
-                "ny": self.grid.ny,
-                "nz": self.grid.nz,
-                "Lx": self.grid.Lx,
-                "Ly": self.grid.Ly,
-                "Lz": self.grid.Lz,
-                "dealias": self.grid.dealias,
-            },
-            "initial": self.initial.to_dict(),
+            "grid": asdict(self.grid),
+            "initial": asdict(self.initial),
             "noise": {"modes": [m.to_dict() for m in self.noise_modes]},
-            "integrator": {
-                "scheme": self.integrator.scheme,
-                "dt": self.integrator.dt,
-                "t_end": self.integrator.t_end,
-                "cfl_guard": self.integrator.cfl_guard,
-            },
-            "ensemble": self.ensemble.to_dict(),
-            "output": self.output.to_dict(),
+            "integrator": asdict(self.integrator),
+            "ensemble": asdict(self.ensemble),
+            "output": asdict(self.output),
         }
 
     def canonical_json(self) -> str:
@@ -159,8 +129,8 @@ class RunConfig:
     def sha256(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
-    def build_noise(self, grid: GridSpec | None = None) -> NoiseModel:
-        g = grid if grid is not None else self.grid
+    def build_noise(self) -> NoiseModel:
+        g = self.grid
         modes: list[VectorField] = []
         for i, m in enumerate(self.noise_modes):
             try:
@@ -179,13 +149,13 @@ def _parse_grid(data: dict) -> GridSpec:
     )
     try:
         return GridSpec(
-            nx=int(data["nx"]),
-            ny=int(data["ny"]),
-            nz=int(data["nz"]),
-            Lx=float(data.get("Lx", TWO_PI)),
-            Ly=float(data.get("Ly", TWO_PI)),
-            Lz=float(data.get("Lz", TWO_PI)),
-            dealias=bool(data.get("dealias", True)),
+            nx=_typed("grid.nx", data["nx"], int),
+            ny=_typed("grid.ny", data["ny"], int),
+            nz=_typed("grid.nz", data["nz"], int),
+            Lx=_typed("grid.Lx", data.get("Lx", TWO_PI), float),
+            Ly=_typed("grid.Ly", data.get("Ly", TWO_PI), float),
+            Lz=_typed("grid.Lz", data.get("Lz", TWO_PI), float),
+            dealias=_typed("grid.dealias", data.get("dealias", True), bool),
         )
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
@@ -198,80 +168,77 @@ def _parse_initial(data: dict, model_kind: str) -> InitialConfig:
         {"preset", "seed", "amplitude", "kmax", "k", "momentum_amplitude"},
     )
     default_preset = "helical-orthogonal" if model_kind == "mhd" else "random-band-limited"
-    preset = data.get("preset", default_preset)
-    if preset not in PRESET_MODELS:
-        raise ConfigError(
-            f"initial.preset: unknown preset {preset!r}; known: {sorted(PRESET_MODELS)}"
-        )
-    if model_kind not in PRESET_MODELS[preset]:
-        raise ConfigError(f"initial.preset: {preset!r} does not support {model_kind} models")
+    preset = _typed("initial.preset", data.get("preset", default_preset), str)
+    check_preset(preset, model_kind)
     return InitialConfig(
         preset=preset,
-        seed=int(data.get("seed", 0)),
-        amplitude=float(data.get("amplitude", 0.1)),
-        kmax=int(data.get("kmax", 2)),
-        k=int(data.get("k", 1)),
-        momentum_amplitude=float(data.get("momentum_amplitude", 0.3)),
+        seed=_typed("initial.seed", data.get("seed", 0), int),
+        amplitude=_typed("initial.amplitude", data.get("amplitude", 0.1), float),
+        kmax=_typed("initial.kmax", data.get("kmax", 2), int),
+        k=_typed("initial.k", data.get("k", 1), int),
+        momentum_amplitude=_typed(
+            "initial.momentum_amplitude", data.get("momentum_amplitude", 0.3), float
+        ),
     )
 
 
 def _parse_noise(data: dict) -> tuple[NoiseModeConfig, ...]:
     _require_keys("noise", data, {"modes"})
+    raw_modes = data.get("modes", [])
+    if not isinstance(raw_modes, list):
+        raise ConfigError(f"noise.modes: expected a list, got {raw_modes!r}")
     modes = []
-    for i, m in enumerate(data.get("modes", [])):
-        _require_keys(
-            f"noise.modes[{i}]", m, {"type", "a", "k", "phase", "amplitude"}, {"type", "a"}
-        )
+    for i, m in enumerate(raw_modes):
+        name = f"noise.modes[{i}]"
+        _require_keys(name, m, {"type", "a", "k", "phase", "amplitude"}, {"type", "a"})
         mtype = m["type"]
         if mtype not in ("constant", "harmonic"):
-            raise ConfigError(f"noise.modes[{i}].type: {mtype!r} not in (constant, harmonic)")
-        a = tuple(float(x) for x in m["a"])
-        if len(a) != 3:
-            raise ConfigError(f"noise.modes[{i}].a: need 3 components")
+            raise ConfigError(f"{name}.type: {mtype!r} not in (constant, harmonic)")
+        a = _typed_vector(f"{name}.a", m["a"], float)
         if mtype == "harmonic":
             if "k" not in m:
-                raise ConfigError(f"noise.modes[{i}]: harmonic modes need a wavevector k")
-            k = tuple(int(x) for x in m["k"])
-            if len(k) != 3:
-                raise ConfigError(f"noise.modes[{i}].k: need 3 components")
+                raise ConfigError(f"{name}: harmonic modes need a wavevector k")
+            k = _typed_vector(f"{name}.k", m["k"], int)
         else:
             k = (0, 0, 0)
         modes.append(
             NoiseModeConfig(
                 type=mtype,
                 a=a,
-                amplitude=float(m.get("amplitude", 1.0)),
+                amplitude=_typed(f"{name}.amplitude", m.get("amplitude", 1.0), float),
                 k=k,
-                phase=float(m.get("phase", 0.0)),
+                phase=_typed(f"{name}.phase", m.get("phase", 0.0), float),
             )
         )
     return tuple(modes)
 
 
-def _parse_integrator(data: dict, model: str, grid: GridSpec, has_noise: bool) -> IntegratorConfig:
+def _parse_integrator(
+    data: dict, model: ModelSpec, grid: GridSpec, has_noise: bool
+) -> IntegratorConfig:
     _require_keys("integrator", data, {"scheme", "dt", "t_end", "cfl_guard"})
-    cfl_guard = float(data.get("cfl_guard", 0.5))
-    default_scheme = _DEFAULT_SCHEME[model]
-    if model == "euler-vorticity" and has_noise:
-        default_scheme = "heun"
+    cfl_guard = _typed("integrator.cfl_guard", data.get("cfl_guard", 0.5), float)
+    calculus_scheme = _CALCULUS_SCHEME[model.calculus]
+    vorticity = model.kind == "vorticity"  # runs without noise modes use rk4
+    allowed = ("rk4", calculus_scheme) if vorticity else (calculus_scheme,)
+    default_scheme = "rk4" if vorticity and not has_noise else calculus_scheme
     scheme = data.get("scheme", default_scheme)
-    if scheme not in _ALLOWED_SCHEMES[model]:
+    if scheme not in allowed:
         raise ConfigError(
-            f"integrator.scheme: {scheme!r} is not valid for model {model!r} "
-            f"(allowed: {_ALLOWED_SCHEMES[model]})"
+            f"integrator.scheme: {scheme!r} is not valid for model {model.name!r} "
+            f"(allowed: {allowed})"
         )
-    if model == "euler-vorticity" and has_noise and scheme != "heun":
+    if vorticity and has_noise and scheme != "heun":
         raise ConfigError("integrator.scheme: noisy euler-vorticity runs need heun")
     dt = data.get("dt")
     if dt is None:
         dt = cfl_guard * grid.min_spacing  # unit characteristic speed
-    t_end = float(data.get("t_end", 1.0))
-    try:
-        return IntegratorConfig(scheme=scheme, dt=float(dt), t_end=t_end, cfl_guard=cfl_guard)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"integrator: {exc}") from exc
+    return IntegratorConfig(
+        scheme=scheme,
+        dt=_typed("integrator.dt", dt, float),
+        t_end=_typed("integrator.t_end", data.get("t_end", 1.0), float),
+        cfl_guard=cfl_guard,
+    )
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -284,7 +251,7 @@ def parse_config(data: dict) -> RunConfig:
         {"schema", "model", "grid", "initial", "noise", "integrator", "ensemble", "output"},
         {"model", "grid"},
     )
-    schema = data.get("schema", SCHEMA_VERSION)
+    schema = _typed("schema", data.get("schema", SCHEMA_VERSION), int)
     if schema != SCHEMA_VERSION:
         raise ConfigError(f"schema: version {schema} unsupported (expected {SCHEMA_VERSION})")
     model_name = data["model"]
@@ -300,13 +267,14 @@ def parse_config(data: dict) -> RunConfig:
             f"noise: model {model_name!r} is deterministic; use its stochastic variant"
         )
     integrator = _parse_integrator(
-        data.get("integrator", {}), model_name, grid, bool(noise_modes)
+        data.get("integrator", {}), model, grid, bool(noise_modes)
     )
 
     ens_data = data.get("ensemble", {})
     _require_keys("ensemble", ens_data, {"members", "seed"})
     ensemble = EnsembleConfig(
-        members=int(ens_data.get("members", 1)), seed=int(ens_data.get("seed", 0))
+        members=_typed("ensemble.members", ens_data.get("members", 1), int),
+        seed=_typed("ensemble.seed", ens_data.get("seed", 0), int),
     )
     if ensemble.members < 1:
         raise ConfigError("ensemble.members: must be >= 1")
@@ -317,14 +285,20 @@ def parse_config(data: dict) -> RunConfig:
         out_data,
         {"directory", "snapshot_interval", "diagnostics_interval", "checkpoint_interval"},
     )
+    directory = out_data.get("directory")
+    intervals = {}
+    for key, default, least in (
+        ("snapshot_interval", 0, 0),
+        ("diagnostics_interval", 10, 1),
+        ("checkpoint_interval", 0, 0),
+    ):
+        intervals[key] = _typed(f"output.{key}", out_data.get(key, default), int)
+        if intervals[key] < least:
+            raise ConfigError(f"output.{key}: must be >= {least}")
     output = OutputConfig(
-        directory=out_data.get("directory"),
-        snapshot_interval=int(out_data.get("snapshot_interval", 0)),
-        diagnostics_interval=int(out_data.get("diagnostics_interval", 10)),
-        checkpoint_interval=int(out_data.get("checkpoint_interval", 0)),
+        directory=None if directory is None else _typed("output.directory", directory, str),
+        **intervals,
     )
-    if output.diagnostics_interval < 1:
-        raise ConfigError("output.diagnostics_interval: must be >= 1")
 
     config = RunConfig(
         model=model_name,

@@ -14,15 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MHDState, VorticityState, _curl_inv_arrays
-from .em_fields import EMState, bi_energy_density, maxwell_energy_density
+from .dynamics import MHDState, VorticityState, _em_drift_arrays
+from .em_fields import EMState, bi_closure, bi_energy_density, maxwell_energy_density
 from .errors import ConstraintError, NumericalError
 from .grid import (
     VectorField,
     _curl_arr,
-    _div_arr,
+    _curl_inv_arr,
     _grad_arr,
     _grad_vector_arr,
+    _lie_1form_density_arr,
     curl_inv,
     evaluate_at_points,
     max_div,
@@ -49,22 +50,6 @@ class DiagnosticsRecord:
     circulation: float | None = None
     vorticity_residual: float | None = None
 
-    def validate(self) -> None:
-        values = [self.time, self.energy, *self.momentum] + [
-            v
-            for v in (
-                self.div_d,
-                self.div_b,
-                self.helicity,
-                self.pb_orth,
-                self.circulation,
-                self.vorticity_residual,
-            )
-            if v is not None
-        ]
-        if not np.all(np.isfinite(values)):
-            raise NumericalError(f"non-finite diagnostics at t={self.time}")
-
     CSV_COLUMNS = (
         "time",
         "energy",
@@ -79,23 +64,26 @@ class DiagnosticsRecord:
         "vorticity_residual",
     )
 
-    def csv_row(self) -> list[str]:
-        def fmt(v):
-            return "" if v is None else repr(float(v))
+    def row(self) -> tuple:
+        """The values in CSV_COLUMNS order."""
+        return (
+            self.time,
+            self.energy,
+            *self.momentum,
+            self.div_d,
+            self.div_b,
+            self.helicity,
+            self.pb_orth,
+            self.circulation,
+            self.vorticity_residual,
+        )
 
-        return [
-            fmt(self.time),
-            fmt(self.energy),
-            fmt(self.momentum[0]),
-            fmt(self.momentum[1]),
-            fmt(self.momentum[2]),
-            fmt(self.div_d),
-            fmt(self.div_b),
-            fmt(self.helicity),
-            fmt(self.pb_orth),
-            fmt(self.circulation),
-            fmt(self.vorticity_residual),
-        ]
+    def validate(self) -> None:
+        if not np.all(np.isfinite([v for v in self.row() if v is not None])):
+            raise NumericalError(f"non-finite diagnostics at t={self.time}")
+
+    def csv_row(self) -> list[str]:
+        return ["" if v is None else repr(float(v)) for v in self.row()]
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +105,7 @@ def total_energy(state: EMState | MHDState | VorticityState, model: str) -> floa
             )
         return float(np.mean(h)) * state.grid.volume
     if isinstance(state, VorticityState):
-        u = _curl_inv_arrays(state.grid, state.w.values)
+        u = _curl_inv_arr(state.grid, state.w.values)
         return 0.5 * float(np.mean(np.sum(u * u, axis=0))) * state.grid.volume
     raise ConstraintError(f"no energy functional for {type(state).__name__}")
 
@@ -131,7 +119,7 @@ def total_momentum(state: EMState | MHDState | VorticityState) -> np.ndarray:
     if isinstance(state, MHDState):
         return state.P.values.mean(axis=(1, 2, 3)) * state.grid.volume
     if isinstance(state, VorticityState):
-        u = _curl_inv_arrays(state.grid, state.w.values)
+        u = _curl_inv_arr(state.grid, state.w.values)
         return u.mean(axis=(1, 2, 3)) * state.grid.volume
     raise ConstraintError(f"no momentum functional for {type(state).__name__}")
 
@@ -276,8 +264,7 @@ def km_bracket_residual(state: EMState) -> float:
     """
     grid = state.grid
     D, B = state.D.values, state.B.values
-    P = np.cross(D, B, axis=0)
-    Hd = np.sqrt(1.0 + np.sum(D * D + B * B + P * P, axis=0))
+    Hd, P, _, _ = bi_closure(D, B)
     v, gam, bet = P / Hd, D / Hd, B / Hd
 
     # stress-divergence route
@@ -287,11 +274,7 @@ def km_bracket_residual(state: EMState) -> float:
     dP1 += _grad_arr(grid, 1.0 / Hd)
 
     # transport + diamond-force route
-    grad_v = _grad_vector_arr(grid, v)
-    lie_p = np.empty_like(P)
-    for k in range(3):
-        lie_p[k] = _div_arr(grid, v * P[k][None])
-    lie_p += np.einsum("j...,kj...->k...", P, grad_v)
+    lie_p = _lie_1form_density_arr(grid, v, _grad_vector_arr(grid, v), P)
     forces = np.cross(B, _curl_arr(grid, bet), axis=0) + np.cross(
         D, _curl_arr(grid, gam), axis=0
     )
@@ -308,15 +291,10 @@ def vorticity_transport_residual(state: EMState, closure: str = "bi") -> float:
     + beta x curl beta), with the time derivative chained through the field
     equations. Vanishes at spectral-tail level on smooth states.
     """
-    from .dynamics import _em_drift_arrays
-
     grid = state.grid
     D, B = state.D.values, state.B.values
-    P = np.cross(D, B, axis=0)
-    Hd = np.sqrt(1.0 + np.sum(D * D + B * B + P * P, axis=0))
+    Hd, P, E, Hf = bi_closure(D, B)
     v, gam, bet = P / Hd, D / Hd, B / Hd
-    E = (D + np.cross(B, P, axis=0)) / Hd
-    Hf = (B - np.cross(D, P, axis=0)) / Hd
 
     dD, dB = _em_drift_arrays(grid, closure, D, B)
     dP = np.cross(dD, B, axis=0) + np.cross(D, dB, axis=0)
@@ -348,33 +326,22 @@ def collect_record(
     circulation: float | None = None,
     with_helicity: bool = True,
 ) -> DiagnosticsRecord:
-    mom = total_momentum(state)
     if isinstance(state, EMState):
-        rec = DiagnosticsRecord(
-            time=time,
-            energy=total_energy(state, model),
-            momentum=tuple(float(m) for m in mom),
-            div_d=max_div(state.D),
-            div_b=max_div(state.B),
-            circulation=circulation,
-        )
+        checks = {"div_d": max_div(state.D), "div_b": max_div(state.B)}
     elif isinstance(state, MHDState):
-        rec = DiagnosticsRecord(
-            time=time,
-            energy=total_energy(state, model),
-            momentum=tuple(float(m) for m in mom),
-            div_b=max_div(state.B),
-            helicity=magnetic_helicity(state.B) if with_helicity else None,
-            pb_orth=pb_orthogonality(state),
-            circulation=circulation,
-        )
+        checks = {
+            "div_b": max_div(state.B),
+            "helicity": magnetic_helicity(state.B) if with_helicity else None,
+            "pb_orth": pb_orthogonality(state),
+        }
     else:
-        rec = DiagnosticsRecord(
-            time=time,
-            energy=total_energy(state, model),
-            momentum=tuple(float(m) for m in mom),
-            div_b=max_div(state.w),
-            circulation=circulation,
-        )
+        checks = {"div_b": max_div(state.w)}
+    rec = DiagnosticsRecord(
+        time=time,
+        energy=total_energy(state, model),
+        momentum=tuple(float(m) for m in total_momentum(state)),
+        circulation=circulation,
+        **checks,
+    )
     rec.validate()
     return rec

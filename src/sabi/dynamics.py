@@ -9,8 +9,9 @@ transport is linear in xi, so the modes collapse into one effective field).
 The Ito corrections are the only per-mode quadratic terms; spatially uniform
 modes get an exact spectral fast path there.
 
-The integrator-facing layer works on bare tuples of arrays; the public ops
-take validated state objects and return fields.
+The factories make_drift, make_noise_op and make_ito_correction are the one
+dynamics path: they return closures over bare tuples of arrays, which the
+runner, the verification suites and the tests all call.
 """
 
 from __future__ import annotations
@@ -20,32 +21,22 @@ from typing import Callable
 
 import numpy as np
 
-from .em_fields import EMState
+from .em_fields import bi_closure
 from .errors import ConstraintError, NumericalError
 from .grid import (
     GridSpec,
     VectorField,
     _curl_arr,
-    _div_arr,
-    _truncate,
+    _curl_inv_arr,
+    _lie_1form_density_arr,
+    _maybe_truncate,
+    _transport_2form_arr,
     max_div,
     mean_component,
 )
 from .noise import NoiseModel
 
 MHD_H_FLOOR = 1e-8
-MODEL_NAMES = (
-    "bi",
-    "maxwell",
-    "bi-stratonovich",
-    "bi-ito",
-    "maxwell-stratonovich",
-    "maxwell-ito",
-    "maxwell-expectation",
-    "euler-vorticity",
-    "mhd",
-    "mhd-stratonovich",
-)
 
 
 @dataclass(frozen=True)
@@ -145,20 +136,12 @@ def _em_drift_arrays(
     grid: GridSpec, closure: str, D: np.ndarray, B: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     if closure == "bi":
-        P = np.cross(D, B, axis=0)
-        Hd = np.sqrt(1.0 + np.sum(D * D + B * B + P * P, axis=0))
-        E = (D + np.cross(B, P, axis=0)) / Hd
-        H = (B - np.cross(D, P, axis=0)) / Hd
+        _, _, E, H = bi_closure(D, B)
         mask = grid.dealias
     else:
         E, H = D, B
         mask = False  # linear terms need no truncation
     return _curl_arr(grid, H, mask=mask), -_curl_arr(grid, E, mask=mask)
-
-
-def _transport_2form(grid: GridSpec, xi_eff: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """curl(xi_eff x F) = -sum_i dW_i Lie_xi_i F for xi_eff = sum dW_i xi_i."""
-    return _curl_arr(grid, np.cross(xi_eff, F, axis=0), mask=grid.dealias)
 
 
 def _double_lie_2form(
@@ -179,34 +162,10 @@ def _double_lie_2form(
         out += grid.irfft(mult * spec)
     for i in noise.nonconstant_indices():
         xi = noise.xis[i].values
-        l1 = -_curl_arr(grid, np.cross(xi, F, axis=0), mask=grid.dealias)
-        l2 = -_curl_arr(grid, np.cross(xi, l1, axis=0), mask=grid.dealias)
-        out += 0.5 * l2
+        # Lie_xi Lie_xi F = T(T(F)) for the transport T = -Lie_xi
+        once = _transport_2form_arr(grid, xi, F, grid.dealias)
+        out += 0.5 * _transport_2form_arr(grid, xi, once, grid.dealias)
     return out
-
-
-def _lie_1form_density_arrays(
-    grid: GridSpec, xi: np.ndarray, grad_xi: np.ndarray, P: np.ndarray
-) -> np.ndarray:
-    """d_j(xi^j P_k) + P_j d_k xi^j, truncated per the grid policy."""
-    out = np.empty_like(P)
-    for k in range(3):
-        out[k] = _div_arr(grid, xi * P[k][None])
-    out += np.einsum("j...,kj...->k...", P, grad_xi)
-    return _truncate(grid, out) if grid.dealias else out
-
-
-def _curl_inv_arrays(grid: GridSpec, B: np.ndarray) -> np.ndarray:
-    spec = grid.rfft(B)
-    inv = grid.inv_k2
-    pot = 1j * np.stack(
-        [
-            (grid.ky * spec[2] - grid.kz * spec[1]) * inv,
-            (grid.kz * spec[0] - grid.kx * spec[2]) * inv,
-            (grid.kx * spec[1] - grid.ky * spec[0]) * inv,
-        ]
-    )
-    return grid.irfft(pot)
 
 
 def _mhd_drift_arrays(
@@ -227,13 +186,13 @@ def _mhd_drift_arrays(
         grid.kx * spec[0] + grid.ky * spec[1] + grid.kz * spec[2]
     )  # contract over j
     dP = grid.irfft(dspec)
-    dB = _curl_arr(grid, np.cross(v, B, axis=0), mask=grid.dealias)
+    dB = _transport_2form_arr(grid, v, B, grid.dealias)
     return dP, dB
 
 
 def _vorticity_drift_arrays(grid: GridSpec, w: np.ndarray) -> np.ndarray:
-    u = _curl_inv_arrays(grid, w)
-    return _curl_arr(grid, np.cross(u, w, axis=0), mask=grid.dealias)
+    u = _curl_inv_arr(grid, w)
+    return _transport_2form_arr(grid, u, w, grid.dealias)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +252,7 @@ def make_noise_op(
             if noise.n_modes == 0:
                 return tuple(np.zeros_like(a) for a in arrs)
             xi_eff = noise.combine(dW)
-            return tuple(_transport_2form(grid, xi_eff, a) for a in arrs)
+            return tuple(_transport_2form_arr(grid, xi_eff, a, grid.dealias) for a in arrs)
 
         return g
     if model.kind == "mhd":
@@ -304,8 +263,8 @@ def make_noise_op(
                 return (np.zeros_like(P), np.zeros_like(B))
             xi_eff = noise.combine(dW)
             grad_eff = np.tensordot(dW, noise.grad_stacked(), axes=(0, 0))
-            dP = -_lie_1form_density_arrays(grid, xi_eff, grad_eff, P)
-            dB = _transport_2form(grid, xi_eff, B)
+            dP = -_maybe_truncate(grid, _lie_1form_density_arr(grid, xi_eff, grad_eff, P), None)
+            dB = _transport_2form_arr(grid, xi_eff, B, grid.dealias)
             return (dP, dB)
 
         return g
@@ -325,96 +284,3 @@ def make_ito_correction(
 
     return c
 
-
-# ---------------------------------------------------------------------------
-# public spec-level operations
-
-
-def bi_rhs(state: EMState, closure: str = "bi") -> tuple[VectorField, VectorField]:
-    """Deterministic field equations (dD, dB) = (curl H, -curl E) with (E, H)
-    from the chosen closure's variational derivatives."""
-    if closure not in ("bi", "maxwell"):
-        raise ConstraintError(f"unknown closure {closure!r}")
-    grid = state.grid
-    dD, dB = _em_drift_arrays(grid, closure, state.D.values, state.B.values)
-    return VectorField(grid, dD), VectorField(grid, dB)
-
-
-def stochastic_increment(
-    state: EMState, noise: NoiseModel, dW: np.ndarray
-) -> tuple[VectorField, VectorField]:
-    """Stratonovich transport increment (dD, dB) = -sum_i Lie_xi_i (D, B) dW_i;
-    both outputs are curls, hence exactly divergence-free."""
-    grid = state.grid
-    if noise.n_modes == 0 or not np.any(dW):
-        return VectorField.zeros(grid), VectorField.zeros(grid)
-    xi_eff = noise.combine(np.asarray(dW, dtype=float))
-    dD = _transport_2form(grid, xi_eff, state.D.values)
-    dB = _transport_2form(grid, xi_eff, state.B.values)
-    return VectorField(grid, dD), VectorField(grid, dB)
-
-
-def ito_drift_correction(
-    state: EMState, noise: NoiseModel
-) -> tuple[VectorField, VectorField]:
-    """The (1/2) sum_i Lie_xi_i(Lie_xi_i .) drift term that converts the
-    Stratonovich transport to Ito form."""
-    grid = state.grid
-    cD = _double_lie_2form(grid, noise, state.D.values)
-    cB = _double_lie_2form(grid, noise, state.B.values)
-    return VectorField(grid, cD), VectorField(grid, cB)
-
-
-def expectation_rhs(
-    state: EMState, noise: NoiseModel, closure: str = "maxwell"
-) -> tuple[VectorField, VectorField]:
-    """Deterministic PDE for the ensemble means in the weak-field limit:
-    d<D>/dt = curl<B> + (1/2) sum_i Lie_xi_i(Lie_xi_i <D>), and likewise for
-    <B> with -curl<D>. Only the weak-field (maxwell) closure is admissible."""
-    if closure != "maxwell":
-        raise ConstraintError(
-            "the expectation equations hold in the weak-field limit; use the maxwell closure"
-        )
-    grid = state.grid
-    dD, dB = _em_drift_arrays(grid, "maxwell", state.D.values, state.B.values)
-    dD = dD + _double_lie_2form(grid, noise, state.D.values)
-    dB = dB + _double_lie_2form(grid, noise, state.B.values)
-    return VectorField(grid, dD), VectorField(grid, dB)
-
-
-def euler_vorticity_rhs(
-    state: VorticityState, noise: NoiseModel, dW: np.ndarray, dt: float
-) -> VectorField:
-    """Combined vorticity increment curl((u dt + sum_i xi_i dW_i) x w) with
-    u recovered from w by the periodic Biot-Savart inverse."""
-    state.validate()
-    grid = state.grid
-    w = state.w.values
-    vel = _curl_inv_arrays(grid, w) * dt
-    if noise.n_modes and np.any(dW):
-        vel = vel + noise.combine(np.asarray(dW, dtype=float))
-    return VectorField(grid, _curl_arr(grid, np.cross(vel, w, axis=0), mask=grid.dealias))
-
-
-def mhd_rhs(state: MHDState) -> tuple[VectorField, VectorField]:
-    """Conservative-form fluxes of the high-field limit:
-    dP = -div(P P/h - B B/h), dB = curl(P x B / h)."""
-    grid = state.grid
-    dP, dB = _mhd_drift_arrays(grid, state.P.values, state.B.values, state.hmin)
-    return VectorField(grid, dP), VectorField(grid, dB)
-
-
-def mhd_stochastic_increment(
-    state: MHDState, noise: NoiseModel, dW: np.ndarray
-) -> tuple[VectorField, VectorField]:
-    """Transport increment for the high-field system: the momentum moves as a
-    1-form density, the flux as a 2-form."""
-    grid = state.grid
-    if noise.n_modes == 0 or not np.any(dW):
-        return VectorField.zeros(grid), VectorField.zeros(grid)
-    dWv = np.asarray(dW, dtype=float)
-    xi_eff = noise.combine(dWv)
-    grad_eff = np.tensordot(dWv, noise.grad_stacked(), axes=(0, 0))
-    dP = -_lie_1form_density_arrays(grid, xi_eff, grad_eff, state.P.values)
-    dB = _transport_2form(grid, xi_eff, state.B.values)
-    return VectorField(grid, dP), VectorField(grid, dB)

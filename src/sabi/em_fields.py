@@ -63,15 +63,22 @@ class HydroVars:
     beta: VectorField
 
 
-def _energy_density_values(D: np.ndarray, B: np.ndarray) -> np.ndarray:
+def bi_closure(
+    D: np.ndarray, B: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The Born-Infeld constitutive relation, pointwise on raw arrays:
+    Hd = sqrt(1 + |D|^2 + |B|^2 + |P|^2) with P = D x B, and the variational
+    derivatives E = (D + B x P)/Hd and H = (B - D x P)/Hd."""
     P = np.cross(D, B, axis=0)
-    s = np.sum(D * D + B * B + P * P, axis=0)
-    return np.sqrt(1.0 + s)
+    Hd = np.sqrt(1.0 + np.sum(D * D + B * B + P * P, axis=0))
+    E = (D + np.cross(B, P, axis=0)) / Hd
+    H = (B - np.cross(D, P, axis=0)) / Hd
+    return Hd, P, E, H
 
 
 def bi_energy_density(state: EMState) -> ScalarField:
     """sqrt(1 + |D|^2 + |B|^2 + |DxB|^2), pointwise; >= 1 everywhere."""
-    return ScalarField(state.grid, _energy_density_values(state.D.values, state.B.values))
+    return ScalarField(state.grid, bi_closure(state.D.values, state.B.values)[0])
 
 
 def maxwell_energy_density(state: EMState) -> ScalarField:
@@ -82,11 +89,7 @@ def maxwell_energy_density(state: EMState) -> ScalarField:
 
 def bi_variational_derivatives(state: EMState) -> tuple[VectorField, VectorField]:
     """E = (D + B x P)/H and H = (B - D x P)/H with P = D x B, pointwise."""
-    D, B = state.D.values, state.B.values
-    P = np.cross(D, B, axis=0)
-    Hd = np.sqrt(1.0 + np.sum(D * D + B * B + P * P, axis=0))
-    E = (D + np.cross(B, P, axis=0)) / Hd
-    H = (B - np.cross(D, P, axis=0)) / Hd
+    _, _, E, H = bi_closure(state.D.values, state.B.values)
     return VectorField(state.grid, E), VectorField(state.grid, H)
 
 
@@ -123,8 +126,7 @@ def hydro_vars(state: EMState) -> HydroVars:
     """v = P/H, gamma = D/H, beta = B/H with the BI closure (H >= 1, so the
     divisions are safe)."""
     D, B = state.D.values, state.B.values
-    P = np.cross(D, B, axis=0)
-    Hd = np.sqrt(1.0 + np.sum(D * D + B * B + P * P, axis=0))
+    Hd, P, _, _ = bi_closure(D, B)
     grid = state.grid
     return HydroVars(
         Hd=ScalarField(grid, Hd),
@@ -160,10 +162,3 @@ def momentum_map_pairing(
     rhs = float(np.mean(np.sum(A.values * transported, axis=0))) * grid.volume
     return lhs, rhs
 
-
-def variational_derivatives(state: EMState, closure: str) -> tuple[VectorField, VectorField]:
-    if closure == "bi":
-        return bi_variational_derivatives(state)
-    if closure == "maxwell":
-        return maxwell_variational_derivatives(state)
-    raise ValueError(f"unknown closure {closure!r}")

@@ -149,13 +149,6 @@ class ScalarField:
                 f"scalar values shape {self.values.shape} != grid {self.grid.shape}"
             )
 
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "ScalarField":
-        return cls(grid, np.zeros(grid.shape))
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
 
 @dataclass(frozen=True)
 class VectorField:
@@ -173,26 +166,6 @@ class VectorField:
     @classmethod
     def zeros(cls, grid: GridSpec) -> "VectorField":
         return cls(grid, np.zeros((3, *grid.shape)))
-
-    @classmethod
-    def from_components(
-        cls, fx: ScalarField, fy: ScalarField, fz: ScalarField
-    ) -> "VectorField":
-        if not (fx.grid == fy.grid == fz.grid):
-            raise ValueError("components must share one GridSpec")
-        return cls(fx.grid, np.stack([fx.values, fy.values, fz.values]))
-
-    @property
-    def x(self) -> ScalarField:
-        return ScalarField(self.grid, self.values[0])
-
-    @property
-    def y(self) -> ScalarField:
-        return ScalarField(self.grid, self.values[1])
-
-    @property
-    def z(self) -> ScalarField:
-        return ScalarField(self.grid, self.values[2])
 
     def max_norm(self) -> float:
         """max over the grid of the pointwise Euclidean norm."""
@@ -257,6 +230,41 @@ def _grad_vector_arr(grid: GridSpec, arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _curl_inv_arr(grid: GridSpec, B: np.ndarray) -> np.ndarray:
+    """Biot-Savart inverse -curl(Laplacian^-1 B); the zero mode maps to 0."""
+    spec = grid.rfft(B)
+    inv = grid.inv_k2
+    pot = 1j * np.stack(
+        [
+            (grid.ky * spec[2] - grid.kz * spec[1]) * inv,
+            (grid.kz * spec[0] - grid.kx * spec[2]) * inv,
+            (grid.kx * spec[1] - grid.ky * spec[0]) * inv,
+        ]
+    )
+    return grid.irfft(pot)
+
+
+def _transport_2form_arr(grid: GridSpec, xi: np.ndarray, F: np.ndarray, mask: bool) -> np.ndarray:
+    """Transport of a flux (2-form) field along xi, curl(xi x F): minus its
+    Lie derivative. Every caller but lie2form wants this sign."""
+    return _curl_arr(grid, np.cross(xi, F, axis=0), mask=mask)
+
+
+def _lie_1form_density_arr(
+    grid: GridSpec, xi: np.ndarray, grad_xi: np.ndarray, P: np.ndarray
+) -> np.ndarray:
+    """Lie derivative of a momentum (1-form density) field, componentwise
+    d_j(xi^j P_k) + P_j d_k xi^j, from raw (untruncated) products.
+
+    grad_xi holds the partials in the layout grad_xi[k, j] = d_k xi^j.
+    """
+    out = np.empty_like(P)
+    for k in range(3):
+        out[k] = _div_arr(grid, xi * P[k][None])
+    out += np.einsum("j...,kj...->k...", P, grad_xi)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # public operators
 
@@ -296,15 +304,6 @@ def integrate(f: ScalarField) -> float:
     return float(np.mean(f.values)) * f.grid.volume
 
 
-def inner(F: VectorField, G: VectorField) -> float:
-    """L2 pairing of vector fields (raw products; quadrature weight applied)."""
-    return float(np.mean(np.sum(F.values * G.values, axis=0))) * F.grid.volume
-
-
-def l2_norm(field: ScalarField | VectorField) -> float:
-    return float(np.sqrt(np.sum(field.values**2) * field.grid.cell_volume))
-
-
 def max_div(F: VectorField) -> float:
     return float(np.max(np.abs(_div_arr(F.grid, F.values))))
 
@@ -340,16 +339,7 @@ def curl_inv(B: VectorField, check: bool = True) -> VectorField:
         m = float(np.max(np.abs(mean_component(B))))
         if m > MEAN_MODE_TOL:
             raise ConstraintError(f"curl_inv: nonzero mean component |{m:.3e}|")
-    spec = grid.rfft(B.values)
-    inv = grid.inv_k2
-    pot = 1j * np.stack(
-        [
-            (grid.ky * spec[2] - grid.kz * spec[1]) * inv,
-            (grid.kz * spec[0] - grid.kx * spec[2]) * inv,
-            (grid.kx * spec[1] - grid.ky * spec[0]) * inv,
-        ]
-    )
-    return VectorField(grid, grid.irfft(pot))
+    return VectorField(grid, _curl_inv_arr(grid, B.values))
 
 
 def lie2form(
@@ -372,49 +362,8 @@ def lie2form(
                     f"lie2form: max|div {name}| = {d:.3e} exceeds {DIV_FREE_TOL}"
                 )
     grid = xi.grid
-    raw = np.cross(xi.values, D.values, axis=0)
     use = grid.dealias if dealias is None else dealias
-    return VectorField(grid, -_curl_arr(grid, raw, mask=use))
-
-
-def lie1form(xi: VectorField, v: VectorField, dealias: bool | None = None) -> VectorField:
-    """Lie derivative of a circulation (1-form) field:
-    grad(xi . v) - xi x curl v  ==  (xi.grad)v + v_j grad(xi^j)."""
-    grid = xi.grid
-    d = np.sum(xi.values * v.values, axis=0)
-    out = _grad_arr(grid, d) - np.cross(xi.values, _curl_arr(grid, v.values), axis=0)
-    return VectorField(grid, _maybe_truncate(grid, out, dealias))
-
-
-def lie_scalar_density(
-    xi: VectorField, h: ScalarField, dealias: bool | None = None
-) -> ScalarField:
-    """Lie derivative of a scalar density: div(h xi)."""
-    grid = xi.grid
-    use = grid.dealias if dealias is None else dealias
-    return ScalarField(grid, _div_arr(grid, h.values * xi.values, mask=use))
-
-
-def lie_1form_density(
-    xi: VectorField,
-    P: VectorField,
-    dealias: bool | None = None,
-    grad_xi: np.ndarray | None = None,
-) -> VectorField:
-    """Lie derivative of a momentum (1-form density) field, componentwise
-    d_j(xi^j P_k) + P_j d_k xi^j.
-
-    grad_xi may carry precomputed partials (layout grad_xi[k, j] = d_k xi^j)
-    for time-independent xi in hot loops.
-    """
-    grid = xi.grid
-    if grad_xi is None:
-        grad_xi = _grad_vector_arr(grid, xi.values)
-    flux = np.empty((3, *grid.shape))
-    for k in range(3):
-        flux[k] = _div_arr(grid, xi.values * P.values[k][None])
-    stretch = np.einsum("j...,kj...->k...", P.values, grad_xi)
-    return VectorField(grid, _maybe_truncate(grid, flux + stretch, dealias))
+    return VectorField(grid, -_transport_2form_arr(grid, xi.values, D.values, use))
 
 
 def evaluate_at_points(

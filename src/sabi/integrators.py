@@ -106,11 +106,3 @@ def euler_maruyama_step(
     f0 = ito_drift(state)
     g0 = noise_increment(state, dW)
     return _lincomb(state, (dt, f0), (1.0, g0))
-
-
-def cfl_violation(
-    speed_max: float, dt: float, dx: float, cfl_guard: float
-) -> float | None:
-    """Returns the measured Courant number if it breaches the guard."""
-    courant = speed_max * dt / dx
-    return courant if courant > cfl_guard else None

@@ -174,11 +174,6 @@ class WienerDriver:
         return self._generator(step).standard_normal(self.n_modes) * np.sqrt(dt)
 
 
-def sample_increments(driver: WienerDriver, step: int, dt: float) -> np.ndarray:
-    """N independent Normal(0, dt) draws, reproducible for the driver tuple."""
-    return driver.increments(step, dt)
-
-
 class DyadicBrownianPath:
     """A Brownian path on [0, t_end] refinable by midpoint bridging.
 

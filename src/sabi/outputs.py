@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord
 from .errors import ConfigError
 from .grid import GridSpec
 
@@ -69,20 +68,6 @@ def read_snapshot_component(data_path: str | Path) -> tuple[np.ndarray, dict]:
     if flat.size != nx * ny * nz:
         raise ConfigError(f"{data_path}: size {flat.size} != {nx * ny * nz}")
     return flat.reshape(nz, ny, nx).T.copy(), meta
-
-
-def diagnostics_csv_text(records: list[DiagnosticsRecord]) -> str:
-    lines = [",".join(DiagnosticsRecord.CSV_COLUMNS)]
-    for rec in records:
-        lines.append(",".join(rec.csv_row()))
-    return "\n".join(lines) + "\n"
-
-
-def write_diagnostics_csv(path: str | Path, records: list[DiagnosticsRecord]) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(diagnostics_csv_text(records))
-    return path
 
 
 def read_diagnostics_csv(path: str | Path) -> dict[str, np.ndarray]:

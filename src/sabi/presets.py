@@ -23,6 +23,16 @@ PRESET_MODELS = {
 }
 
 
+def check_preset(preset: str, model_kind: str) -> None:
+    """Reject unknown presets and presets that do not build this model kind."""
+    if preset not in PRESET_MODELS:
+        raise ConfigError(
+            f"initial.preset: unknown preset {preset!r}; known: {sorted(PRESET_MODELS)}"
+        )
+    if model_kind not in PRESET_MODELS[preset]:
+        raise ConfigError(f"initial.preset: {preset!r} does not support {model_kind} models")
+
+
 def _preset_rng(seed: int, salt: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(key=[np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(2)],
@@ -138,14 +148,7 @@ def build_initial_state(
     momentum_amplitude: float,
 ):
     """Dispatch a named preset for the given model kind."""
-    if preset not in PRESET_MODELS:
-        raise ConfigError(
-            f"initial.preset: unknown preset {preset!r}; known: {sorted(PRESET_MODELS)}"
-        )
-    if model_kind not in PRESET_MODELS[preset]:
-        raise ConfigError(
-            f"initial.preset: {preset!r} does not support {model_kind} models"
-        )
+    check_preset(preset, model_kind)
     if preset == "plane-wave":
         return plane_wave(grid, amplitude, k)
     if preset == "taylor-green":

@@ -30,7 +30,7 @@ from .dynamics import (
 )
 from .em_fields import EMState
 from .errors import NumericalError
-from .grid import GridSpec, VectorField
+from .grid import GridSpec, VectorField, _curl_inv_arr
 from .integrators import check_finite, euler_maruyama_step, heun_stratonovich_step, rk4_step
 from .noise import WienerDriver
 from .outputs import (
@@ -100,9 +100,7 @@ def initial_arrays(config: RunConfig) -> tuple[np.ndarray, ...]:
 def _check_cfl(config: RunConfig, model: ModelSpec, arrs) -> None:
     grid = config.grid
     if model.kind == "vorticity":
-        from .dynamics import _curl_inv_arrays
-
-        u = _curl_inv_arrays(grid, arrs[0])
+        u = _curl_inv_arr(grid, arrs[0])
         speed = float(np.sqrt(np.max(np.sum(u * u, axis=0))))
     else:
         speed = 1.0  # wave speed bounds the material velocity for these systems
@@ -242,16 +240,10 @@ def run_member(
 def _summary_stats(members: list[MemberResult]) -> tuple[np.ndarray, dict]:
     times = np.array([r.time for r in members[0].records])
     stats: dict[str, dict[str, list[float]]] = {}
-    scalar_fields = ("energy", "momentum_x", "momentum_y", "momentum_z")
-
-    def value(rec: DiagnosticsRecord, name: str) -> float:
-        if name == "energy":
-            return rec.energy
-        return rec.momentum[{"momentum_x": 0, "momentum_y": 1, "momentum_z": 2}[name]]
-
     m = len(members)
-    for name in scalar_fields:
-        series = np.array([[value(r, name) for r in mem.records] for mem in members])
+    # energy and the three momentum components
+    for col, name in enumerate(DiagnosticsRecord.CSV_COLUMNS[1:5], start=1):
+        series = np.array([[r.row()[col] for r in mem.records] for mem in members])
         mean = series.mean(axis=0)
         stderr = (
             series.std(axis=0, ddof=1) / np.sqrt(m) if m > 1 else np.zeros_like(mean)

@@ -26,7 +26,12 @@ from .diagnostics import (
     lp_bracket_check,
 )
 from .dynamics import get_model, make_drift, make_noise_op
-from .em_fields import EMState, bi_energy_density, bi_variational_derivatives, momentum_map_pairing
+from .em_fields import (
+    EMState,
+    bi_closure,
+    bi_variational_derivatives,
+    momentum_map_pairing,
+)
 from .errors import ConfigError
 from .grid import (
     GridSpec,
@@ -199,26 +204,12 @@ def suite_energy_deterministic(grid_n: int = 32, dt: float = 1e-3, **_) -> Suite
     return rep
 
 
-def _energy_error_scan(
-    grid_n: int, amplitude: float, noise_mode, seed: int, t_end: float = 0.5
+def _heun_error_scan(
+    state0, drift, noise_op, error, seed: int, step_counts, n_paths: int, t_end: float
 ) -> tuple[list[float], float]:
-    """Per-path total-energy error vs dt along fixed dyadic Brownian paths."""
-    grid = GridSpec(grid_n, grid_n, grid_n)
-    D = _band_limited(grid, seed=121, kmax=2, amplitude=amplitude, divfree=True)
-    B = _band_limited(grid, seed=122, kmax=2, amplitude=amplitude, divfree=True)
-    noise = NoiseModel.from_modes(grid, [noise_mode(grid)])
-    model = get_model("bi-stratonovich")
-    drift = make_drift(model, grid)
-    noise_op = make_noise_op(model, grid, noise)
-    state0 = (D.values, B.values)
-
-    def energy(arrs):
-        s = EMState(VectorField(grid, arrs[0]), VectorField(grid, arrs[1]))
-        return float(np.mean(bi_energy_density(s).values)) * grid.volume
-
-    e0 = energy(state0)
-    step_counts = (32, 64, 128, 256)  # dt = 2^-6 .. 2^-9
-    n_paths = 4
+    """Mean per-path error of Heun runs along fixed dyadic Brownian paths for
+    each step count, and its log2-log2 slope against dt. error(arrs, dWs)
+    scores one path's final state."""
     errors = []
     for n in step_counts:
         dt = t_end / n
@@ -229,11 +220,37 @@ def _energy_error_scan(
             arrs = tuple(a.copy() for a in state0)
             for i in range(n):
                 arrs = heun_stratonovich_step(arrs, drift, noise_op, dt, dWs[i])
-            err += abs(energy(arrs) - e0) / e0
+            err += error(arrs, dWs)
         errors.append(err / n_paths)
     dts = [t_end / n for n in step_counts]
-    slope = float(np.polyfit(np.log2(dts), np.log2(errors), 1)[0])
-    return errors, slope
+    return errors, float(np.polyfit(np.log2(dts), np.log2(errors), 1)[0])
+
+
+def _energy_error_scan(
+    grid_n: int, amplitude: float, noise_mode, seed: int, t_end: float = 0.5
+) -> tuple[list[float], float]:
+    """Per-path total-energy error vs dt along fixed dyadic Brownian paths."""
+    grid = GridSpec(grid_n, grid_n, grid_n)
+    D = _band_limited(grid, seed=121, kmax=2, amplitude=amplitude, divfree=True)
+    B = _band_limited(grid, seed=122, kmax=2, amplitude=amplitude, divfree=True)
+    noise = NoiseModel.from_modes(grid, [noise_mode(grid)])
+    model = get_model("bi-stratonovich")
+    state0 = (D.values, B.values)
+
+    def energy(arrs):
+        return float(np.mean(bi_closure(*arrs)[0])) * grid.volume
+
+    e0 = energy(state0)
+    return _heun_error_scan(
+        state0,
+        make_drift(model, grid),
+        make_noise_op(model, grid, noise),
+        lambda arrs, dWs: abs(energy(arrs) - e0) / e0,
+        seed,
+        (32, 64, 128, 256),  # dt = 2^-6 .. 2^-9
+        4,
+        t_end,
+    )
 
 
 def suite_stochastic_energy(grid_n: int = 16, **_) -> SuiteReport:
@@ -314,18 +331,24 @@ def suite_momentum_dichotomy(grid_n: int = 16, dt: float = 5e-3, **_) -> SuiteRe
     return rep
 
 
-def _weak_field_ensemble(model: str, members: int, grid_n: int, sigma: float, dt: float, t_end: float):
-    cfg = parse_config(
+def _weak_field_config(
+    model: str, grid_n: int, sigma: float, dt: float, t_end: float, ensemble: dict
+):
+    return parse_config(
         _base_config(
             model=model,
             grid={"nx": grid_n, "ny": grid_n, "nz": grid_n},
             initial={"preset": "plane-wave", "amplitude": 0.05, "k": 1},
             noise={"modes": [{"type": "constant", "a": [sigma, 0.0, 0.0]}]},
             integrator={"dt": dt, "t_end": t_end},
-            ensemble={"members": members, "seed": 23},
+            ensemble=ensemble,
             output={"diagnostics_interval": 1000000},
         )
     )
+
+
+def _weak_field_ensemble(model: str, members: int, grid_n: int, sigma: float, dt: float, t_end: float):
+    cfg = _weak_field_config(model, grid_n, sigma, dt, t_end, {"members": members, "seed": 23})
     result = run_ensemble(cfg)
     finals = np.array([np.stack(m.final_arrays) for m in result.members])
     # shape (members, 2, 3, nx, ny, nz)
@@ -347,6 +370,15 @@ def _component_l2_comparison(mean_a, var_a, mean_b, var_b) -> list[tuple[str, fl
     return out
 
 
+def _check_means(rep: SuiteReport, comparisons) -> None:
+    """Mean differences within 3 pooled standard errors per component."""
+    for label, l2, se in comparisons:
+        if se == 0.0:  # component never excited and both means identical
+            rep.check(f"mean-{label}", l2, 1e-12)
+        else:
+            rep.check(f"mean-{label}", l2 / se, 3.0)
+
+
 def suite_ito_stratonovich(grid_n: int = 16, dt: float = 0.01, **_) -> SuiteReport:
     """Weak-field ensemble means of the two calculi agree within 3 pooled
     standard errors per component."""
@@ -354,11 +386,7 @@ def suite_ito_stratonovich(grid_n: int = 16, dt: float = 0.01, **_) -> SuiteRepo
     members, sigma, t_end = 512, 0.4, 0.5
     mean_s, var_s = _weak_field_ensemble("maxwell-stratonovich", members, grid_n, sigma, dt, t_end)
     mean_i, var_i = _weak_field_ensemble("maxwell-ito", members, grid_n, sigma, dt, t_end)
-    for label, l2, se in _component_l2_comparison(mean_s, var_s, mean_i, var_i):
-        if se == 0.0:  # component never excited and both means identical
-            rep.check(f"mean-{label}", l2, 1e-12)
-        else:
-            rep.check(f"mean-{label}", l2 / se, 3.0)
+    _check_means(rep, _component_l2_comparison(mean_s, var_s, mean_i, var_i))
     return rep
 
 
@@ -369,24 +397,9 @@ def suite_expectation_pde(grid_n: int = 16, dt: float = 0.01, **_) -> SuiteRepor
     members, sigma, t_end = 512, 0.4, 0.5
     mean_i, var_i = _weak_field_ensemble("maxwell-ito", members, grid_n, sigma, dt, t_end)
 
-    cfg = parse_config(
-        _base_config(
-            model="maxwell-expectation",
-            grid={"nx": grid_n, "ny": grid_n, "nz": grid_n},
-            initial={"preset": "plane-wave", "amplitude": 0.05, "k": 1},
-            noise={"modes": [{"type": "constant", "a": [sigma, 0.0, 0.0]}]},
-            integrator={"scheme": "rk4", "dt": dt / 2, "t_end": t_end},
-            output={"diagnostics_interval": 1000000},
-        )
-    )
-    expectation = run_ensemble(cfg).members[0].final_arrays
-    mean_e = np.stack(expectation)
-    zero_var = np.zeros_like(var_i)
-    for label, l2, se in _component_l2_comparison(mean_i, var_i, mean_e, zero_var):
-        if se == 0.0:
-            rep.check(f"mean-{label}", l2, 1e-12)
-        else:
-            rep.check(f"mean-{label}", l2 / se, 3.0)
+    cfg = _weak_field_config("maxwell-expectation", grid_n, sigma, dt / 2, t_end, {})
+    mean_e = np.stack(run_ensemble(cfg).members[0].final_arrays)
+    _check_means(rep, _component_l2_comparison(mean_i, var_i, mean_e, np.zeros_like(var_i)))
 
     grid = cfg.grid
     d0 = 0.05  # plane-wave amplitude: |D_y mode| = amp/2 at t=0
@@ -406,28 +419,17 @@ def suite_pure_transport(grid_n: int = 16, **_) -> SuiteReport:
     sigma, t_end = 0.5, 0.5
     D0 = _band_limited(grid, seed=131, kmax=2, amplitude=0.4, divfree=True)
     noise = NoiseModel.from_modes(grid, [make_constant_mode(grid, (sigma, 0, 0))])
-    model = get_model("bi-stratonovich")
-    g = make_noise_op(model, grid, noise)
+    g = make_noise_op(get_model("bi-stratonovich"), grid, noise)
     zero_drift = lambda arrs: tuple(np.zeros_like(a) for a in arrs)
     spec0 = grid.rfft(D0.values)
-    step_counts = (16, 32, 64, 128, 256)
-    n_paths = 8
-    errors = []
-    for n in step_counts:
-        dt = t_end / n
-        err = 0.0
-        for member in range(n_paths):
-            path = DyadicBrownianPath(seed=3002, member_index=member, n_modes=1, t_end=t_end)
-            dWs = path.increments(n)
-            arrs = (D0.values.copy(),)
-            for i in range(n):
-                arrs = heun_stratonovich_step(arrs, zero_drift, g, dt, dWs[i])
-            shift = sigma * float(dWs.sum())
-            exact = grid.irfft(spec0 * np.exp(-1j * grid.kx * shift))
-            err += float(np.sqrt(np.mean((arrs[0] - exact) ** 2)))
-        errors.append(err / n_paths)
-    dts = [t_end / n for n in step_counts]
-    slope = float(np.polyfit(np.log2(dts), np.log2(errors), 1)[0])
+
+    def strong_error(arrs, dWs):
+        exact = grid.irfft(spec0 * np.exp(-1j * grid.kx * (sigma * float(dWs.sum()))))
+        return float(np.sqrt(np.mean((arrs[0] - exact) ** 2)))
+
+    errors, slope = _heun_error_scan(
+        (D0.values,), zero_drift, g, strong_error, 3002, (16, 32, 64, 128, 256), 8, t_end
+    )
     rep.notes.append(
         "strong errors: " + ", ".join(f"{e:.3e}" for e in errors)
     )
@@ -498,39 +500,52 @@ def suite_hamiltonian_structure(grid_n: int = 16, **_) -> SuiteReport:
     return rep
 
 
-def _kelvin_residual(grid_n: int, n_steps: int, n_loop: int, seed: int = 151) -> float:
-    """Tracked-loop residual of the circulation law over one deterministic
-    nonlinear run: c(T) - c(0) + int F dt along the advected loop."""
+def _kelvin_residual(grid_n: int, n_steps: int, n_loop: int, stochastic: bool = False) -> float:
+    """Tracked-loop residual of the circulation law over one nonlinear BI
+    run: c(T) - c(0) + int F dt along the advected loop. The stochastic run
+    adds Stratonovich transport along one harmonic correlation field, and the
+    loop rides the same dW as the fields."""
     grid = GridSpec(grid_n, grid_n, grid_n)
-    D = _band_limited(grid, seed=seed, kmax=2, amplitude=0.15, divfree=True)
-    B = _band_limited(grid, seed=seed + 1, kmax=2, amplitude=0.15, divfree=True)
+    seed, amplitude = (161, 0.3) if stochastic else (151, 0.15)
+    D = _band_limited(grid, seed=seed, kmax=2, amplitude=amplitude, divfree=True)
+    B = _band_limited(grid, seed=seed + 1, kmax=2, amplitude=amplitude, divfree=True)
     arrs = (D.values, B.values)
     drift = make_drift(get_model("bi"), grid)
     t_end = 0.25
     dt = t_end / n_steps
+    noise = None
+    dWs = [None] * n_steps
+    if stochastic:
+        noise = NoiseModel.from_modes(
+            grid, [make_divfree_mode(grid, k=(0, 0, 1), a=(0.2, 0, 0))]
+        )
+        g = make_noise_op(get_model("bi-stratonovich"), grid, noise)
+        path = DyadicBrownianPath(seed=3003, member_index=0, n_modes=1, t_end=t_end)
+        # nearest dyadic refinement at or above n_steps
+        dWs = path.increments(1 << (n_steps - 1).bit_length())[:n_steps]
     loop = TracerLoop.circle((np.pi, np.pi, np.pi), 1.2, n_loop)
 
     def fields_of(arrs):
-        Dv, Bv = arrs
-        P = np.cross(Dv, Bv, axis=0)
-        Hd = np.sqrt(1.0 + np.sum(Dv * Dv + Bv * Bv + P * P, axis=0))
-        v = VectorField(grid, P / Hd)
-        gam, bet = Dv / Hd, Bv / Hd
+        Hd, P, _, _ = bi_closure(*arrs)
+        gam, bet = arrs[0] / Hd, arrs[1] / Hd
         force = VectorField(
             grid,
             np.cross(gam, _curl_arr(grid, gam), axis=0)
             + np.cross(bet, _curl_arr(grid, bet), axis=0),
         )
-        return v, force
+        return VectorField(grid, P / Hd), force
 
     v, force = fields_of(arrs)
     circ0 = loop_circulation(loop, v)
     force_integral = 0.0
-    for _ in range(n_steps):
+    for dW in dWs:
         f_prev = loop_circulation(loop, force)
-        new_arrs = rk4_step(arrs, drift, dt)
+        if dW is None:
+            new_arrs = rk4_step(arrs, drift, dt)
+        else:
+            new_arrs = heun_stratonovich_step(arrs, drift, g, dt, dW)
         v_new, force_new = fields_of(new_arrs)
-        loop = advect_loop(loop, v, dt, v_end=v_new)
+        loop = advect_loop(loop, v, dt, v_end=v_new, noise=noise, dW=dW)
         f_next = loop_circulation(loop, force_new)
         force_integral += 0.5 * (f_prev + f_next) * dt
         arrs, v, force = new_arrs, v_new, force_new
@@ -558,54 +573,10 @@ def suite_kelvin(grid_n: int = 16, **_) -> SuiteReport:
     # informational: the same residual along a stochastic loop sharing the
     # fields' dW (its dW-scaling is reported, never asserted)
     rep.notes.append(
-        f"stochastic-loop residual (reported only): {_kelvin_stochastic_residual(grid_n):.3e}"
+        "stochastic-loop residual (reported only): "
+        f"{_kelvin_residual(grid_n, 50, 128, stochastic=True):.3e}"
     )
     return rep
-
-
-def _kelvin_stochastic_residual(grid_n: int) -> float:
-    grid = GridSpec(grid_n, grid_n, grid_n)
-    D = _band_limited(grid, seed=161, kmax=2, amplitude=0.3, divfree=True)
-    B = _band_limited(grid, seed=162, kmax=2, amplitude=0.3, divfree=True)
-    noise = NoiseModel.from_modes(
-        grid, [make_divfree_mode(grid, k=(0, 0, 1), a=(0.2, 0, 0))]
-    )
-    model = get_model("bi-stratonovich")
-    drift = make_drift(model, grid)
-    g = make_noise_op(model, grid, noise)
-    arrs = (D.values, B.values)
-    n_steps, t_end = 50, 0.25
-    dt = t_end / n_steps
-    path = DyadicBrownianPath(seed=3003, member_index=0, n_modes=1, t_end=t_end)
-    dWs = path.increments(64)[:n_steps]  # nearest dyadic refinement
-    loop = TracerLoop.circle((np.pi, np.pi, np.pi), 1.2, 128)
-
-    def fields_of(arrs):
-        Dv, Bv = arrs
-        P = np.cross(Dv, Bv, axis=0)
-        Hd = np.sqrt(1.0 + np.sum(Dv * Dv + Bv * Bv + P * P, axis=0))
-        v = VectorField(grid, P / Hd)
-        gam, bet = Dv / Hd, Bv / Hd
-        force = VectorField(
-            grid,
-            np.cross(gam, _curl_arr(grid, gam), axis=0)
-            + np.cross(bet, _curl_arr(grid, bet), axis=0),
-        )
-        return v, force
-
-    v, force = fields_of(arrs)
-    circ0 = loop_circulation(loop, v)
-    force_integral = 0.0
-    for i in range(n_steps):
-        f_prev = loop_circulation(loop, force)
-        new_arrs = heun_stratonovich_step(arrs, drift, g, dt, dWs[i])
-        v_new, force_new = fields_of(new_arrs)
-        loop = advect_loop(loop, v, dt, v_end=v_new, noise=noise, dW=dWs[i])
-        f_next = loop_circulation(loop, force_new)
-        force_integral += 0.5 * (f_prev + f_next) * dt
-        arrs, v, force = new_arrs, v_new, force_new
-    circ1 = loop_circulation(loop, v)
-    return abs(circ1 - circ0 + force_integral)
 
 
 SUITES = {

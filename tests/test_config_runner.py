@@ -1,5 +1,6 @@
 """Configuration, output-format, reproducibility and CLI tests."""
 
+import copy
 import json
 import subprocess
 import sys
@@ -14,6 +15,14 @@ from sabi.outputs import read_checkpoint, read_diagnostics_csv, read_snapshot_co
 from sabi.runner import initial_arrays, resume_member, run_ensemble
 
 MINIMAL = {"model": "maxwell", "grid": {"nx": 16, "ny": 16, "nz": 16}}
+STOCHASTIC = {
+    "model": "maxwell-stratonovich",
+    "grid": {"nx": 8, "ny": 8, "nz": 8, "dealias": True},
+    "noise": {"modes": [{"type": "constant", "a": [0.1, 0.0, 0.0]}]},
+    "integrator": {"dt": 0.02, "t_end": 0.04},
+    "ensemble": {"members": 2},
+    "output": {"snapshot_interval": 0},
+}
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -87,6 +96,33 @@ class TestConfigParsing:
         bad = dict(MINIMAL, initial={"preset": "taylor-green"})
         with pytest.raises(ConfigError, match="preset"):
             load_config(write_config(tmp_path, bad))
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            pytest.param(("grid", "nx"), 16.7, id="nx-float"),
+            pytest.param(("grid", "dealias"), "false", id="dealias-string"),
+            pytest.param(("ensemble", "members"), 2.9, id="members-float"),
+            pytest.param(("output", "snapshot_interval"), -3, id="snapshot-interval-negative"),
+            pytest.param(("integrator", "dt"), float("nan"), id="dt-nan"),
+            pytest.param(("integrator", "t_end"), float("inf"), id="t_end-infinity"),
+            pytest.param(("integrator", "t_end"), 10**400, id="t_end-beyond-float-range"),
+            pytest.param(("noise", "modes", 0, "a"), "xyz", id="a-string"),
+            pytest.param(("noise", "modes"), 5, id="modes-int"),
+            pytest.param(("schema",), True, id="schema-bool"),
+        ],
+    )
+    def test_malformed_value_rejected(self, tmp_path, path, value):
+        parse_config(STOCHASTIC)  # the unmodified config is valid
+        data = copy.deepcopy(STOCHASTIC)
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ConfigError):
+            parse_config(data)
+        cfg_path = write_config(tmp_path, data)  # NaN/Infinity as JSON extensions
+        assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)]) == 2
 
 
 def quick_run_config(tmp_path, **over):

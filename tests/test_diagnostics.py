@@ -248,7 +248,8 @@ class TestVorticityKelvin:
     def test_taylor_green_circulation_conserved(self):
         # deterministic specialization: the circulation of u around a loop
         # advected with u is an invariant of the vorticity dynamics
-        from sabi.dynamics import _curl_inv_arrays, get_model, make_drift
+        from sabi.dynamics import get_model, make_drift
+        from sabi.grid import _curl_inv_arr
         from sabi.integrators import rk4_step
         from sabi.presets import taylor_green
 
@@ -258,12 +259,12 @@ class TestVorticityKelvin:
         for n_steps, n_loop in ((20, 128), (40, 256)):
             dt = 0.2 / n_steps
             arrs = (taylor_green(grid, amplitude=1.0).w.values.copy(),)
-            u = VectorField(grid, _curl_inv_arrays(grid, arrs[0]))
+            u = VectorField(grid, _curl_inv_arr(grid, arrs[0]))
             loop = TracerLoop.circle((np.pi / 2, np.pi / 2, 1.0), 0.8, n_loop)
             c0 = loop_circulation(loop, u)
             for _ in range(n_steps):
                 new = rk4_step(arrs, drift, dt)
-                u_new = VectorField(grid, _curl_inv_arrays(grid, new[0]))
+                u_new = VectorField(grid, _curl_inv_arr(grid, new[0]))
                 loop = advect_loop(loop, u, dt, v_end=u_new)
                 arrs, u = new, u_new
             drifts.append(abs(loop_circulation(loop, u) - c0) / abs(c0))

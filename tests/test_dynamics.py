@@ -1,4 +1,5 @@
-"""RHS assembly tests.
+"""RHS assembly tests, run through the factories the runner uses
+(make_drift, make_noise_op, make_ito_correction on tuples of arrays).
 
 Oracles: hand time-derivatives of plane waves, constant-field reductions of
 the transport operators against direct spectral derivatives, Beltrami
@@ -12,20 +13,16 @@ import pytest
 from sabi.dynamics import (
     MHDState,
     VorticityState,
-    bi_rhs,
-    euler_vorticity_rhs,
-    expectation_rhs,
     get_model,
-    ito_drift_correction,
     make_drift,
-    mhd_rhs,
-    mhd_stochastic_increment,
-    stochastic_increment,
+    make_ito_correction,
+    make_noise_op,
 )
 from sabi.em_fields import EMState
 from sabi.errors import ConstraintError, NumericalError
-from sabi.grid import GridSpec, VectorField, laplacian, max_div, lie2form
+from sabi.grid import GridSpec, VectorField, laplacian, lie2form, max_div
 from sabi.noise import NoiseModel, make_constant_mode, make_divfree_mode
+from sabi.runner import state_to_arrays
 
 from test_grid import random_band_limited
 
@@ -49,15 +46,22 @@ def spectral_dx(grid, arr):
     return grid.irfft(1j * grid.kx * spec)
 
 
+def apply(factory, model, state, noise=None, *dW):
+    """Build the model's operator with a dynamics factory, apply it to the
+    state's arrays (and dW), and wrap the results as fields."""
+    op = factory(get_model(model), state.grid, noise)
+    return tuple(VectorField(state.grid, a) for a in op(state_to_arrays(state), *dW))
+
+
 class TestDeterministicEM:
     def test_zero_state(self, grid):
-        dD, dB = bi_rhs(EMState.zeros(grid))
+        dD, dB = apply(make_drift, "bi", EMState.zeros(grid))
         assert dD.max_norm() == 0.0 and dB.max_norm() == 0.0
 
     def test_uniform_fields(self, grid):
         vals = np.ones((3, *grid.shape))
         s = EMState(VectorField(grid, vals), VectorField(grid, 0.5 * vals))
-        dD, dB = bi_rhs(s)
+        dD, dB = apply(make_drift, "bi", s)
         assert dD.max_norm() < 1e-12 and dB.max_norm() < 1e-12
 
     def test_maxwell_plane_wave_identity(self, grid):
@@ -69,13 +73,13 @@ class TestDeterministicEM:
             VectorField(grid, np.stack([zero, np.cos(X), zero])),
             VectorField(grid, np.stack([zero, zero, np.cos(X)])),
         )
-        dD, dB = bi_rhs(s, closure="maxwell")
+        dD, dB = apply(make_drift, "maxwell", s)
         assert np.max(np.abs(dD.values[1] - np.sin(X))) < 1e-12
         assert np.max(np.abs(dB.values[2] - np.sin(X))) < 1e-12
 
     def test_rhs_divergence_free(self, grid):
         s = em_state(grid, seed=1, amplitude=0.4)
-        dD, dB = bi_rhs(s)
+        dD, dB = apply(make_drift, "bi", s)
         assert max_div(dD) < 1e-12 and max_div(dB) < 1e-12
 
 
@@ -83,14 +87,14 @@ class TestStochasticIncrement:
     def test_zero_dw(self, grid):
         s = em_state(grid, seed=2, amplitude=0.3)
         noise = NoiseModel.from_modes(grid, [make_constant_mode(grid, (1, 0, 0))])
-        dD, dB = stochastic_increment(s, noise, np.zeros(1))
+        dD, dB = apply(make_noise_op, "bi-stratonovich", s, noise, np.zeros(1))
         assert dD.max_norm() == 0.0 and dB.max_norm() == 0.0
 
     def test_constant_mode_reduction(self, grid):
         sigma, dw = 0.7, 0.13
         s = em_state(grid, seed=3, amplitude=0.3)
         noise = NoiseModel.from_modes(grid, [make_constant_mode(grid, (sigma, 0, 0))])
-        dD, dB = stochastic_increment(s, noise, np.array([dw]))
+        dD, dB = apply(make_noise_op, "bi-stratonovich", s, noise, np.array([dw]))
         assert np.max(np.abs(dD.values + sigma * dw * spectral_dx(grid, s.D.values))) < 1e-11
         assert np.max(np.abs(dB.values + sigma * dw * spectral_dx(grid, s.B.values))) < 1e-11
 
@@ -99,21 +103,21 @@ class TestStochasticIncrement:
         noise = NoiseModel.from_modes(
             grid, [make_divfree_mode(grid, k=(1, 0, 0), a=(0, 1, 0))]
         )
-        dD, dB = stochastic_increment(s, noise, np.array([0.2]))
+        dD, dB = apply(make_noise_op, "bi-stratonovich", s, noise, np.array([0.2]))
         assert max_div(dD) < 1e-12 and max_div(dB) < 1e-12
 
 
 class TestItoCorrection:
     def test_zero_noise(self, grid):
         s = em_state(grid, seed=5, amplitude=0.3)
-        cD, cB = ito_drift_correction(s, NoiseModel.empty(grid))
+        cD, cB = apply(make_ito_correction, "bi-ito", s, NoiseModel.empty(grid))
         assert cD.max_norm() == 0.0 and cB.max_norm() == 0.0
 
     def test_constant_mode_heat_operator(self, grid):
         sigma = 0.6
         s = em_state(grid, seed=6, amplitude=0.3)
         noise = NoiseModel.from_modes(grid, [make_constant_mode(grid, (sigma, 0, 0))])
-        cD, _ = ito_drift_correction(s, noise)
+        cD, _ = apply(make_ito_correction, "bi-ito", s, noise)
         spec = grid.rfft(s.D.values)
         dxx = grid.irfft(-(grid.kx**2) * spec)
         assert np.max(np.abs(cD.values - 0.5 * sigma**2 * dxx)) < 1e-11
@@ -125,7 +129,7 @@ class TestItoCorrection:
         s = em_state(g, seed=7, amplitude=0.3, kmax=2)
         xi = make_divfree_mode(g, k=(0, 1, 0), a=(1, 0, 0), amplitude=0.8)
         noise = NoiseModel.from_modes(g, [xi])
-        cD, cB = ito_drift_correction(s, noise)
+        cD, cB = apply(make_ito_correction, "bi-ito", s, noise)
         for F, got in ((s.D, cD), (s.B, cB)):
             twice = lie2form(xi, lie2form(xi, F))
             assert np.max(np.abs(got.values - 0.5 * twice.values)) < 1e-10
@@ -136,16 +140,16 @@ class TestItoCorrection:
         xi = make_constant_mode(grid, (0.4, 0.3, 0.0))
         fast = NoiseModel(grid, (xi,), (True,))
         slow = NoiseModel(grid, (xi,), (False,))
-        cf, _ = ito_drift_correction(s, fast)
-        cs, _ = ito_drift_correction(s, slow)
+        cf, _ = apply(make_ito_correction, "bi-ito", s, fast)
+        cs, _ = apply(make_ito_correction, "bi-ito", s, slow)
         assert np.max(np.abs(cf.values - cs.values)) < 1e-12
 
 
 class TestExpectationRHS:
     def test_reduces_to_maxwell_without_noise(self, grid):
         s = em_state(grid, seed=9, amplitude=0.2)
-        d1 = expectation_rhs(s, NoiseModel.empty(grid))
-        d2 = bi_rhs(s, closure="maxwell")
+        d1 = apply(make_drift, "maxwell-expectation", s, NoiseModel.empty(grid))
+        d2 = apply(make_drift, "maxwell", s)
         for a, b in zip(d1, d2):
             assert np.max(np.abs(a.values - b.values)) < 1e-14
 
@@ -160,8 +164,8 @@ class TestExpectationRHS:
                 make_constant_mode(grid, (0, 0, sigma)),
             ],
         )
-        dD, _ = expectation_rhs(s, noise)
-        base, _ = bi_rhs(s, closure="maxwell")
+        dD, _ = apply(make_drift, "maxwell-expectation", s, noise)
+        base, _ = apply(make_drift, "maxwell", s)
         lap = laplacian(s.D)
         expected = base.values + 0.5 * sigma**2 * lap.values
         assert np.max(np.abs(dD.values - expected)) < 1e-10
@@ -176,13 +180,8 @@ class TestExpectationRHS:
             VectorField.zeros(grid),
         )
         noise = NoiseModel.from_modes(grid, [make_constant_mode(grid, (sigma, 0, 0))])
-        dD, _ = expectation_rhs(s, noise)
+        dD, _ = apply(make_drift, "maxwell-expectation", s, noise)
         assert np.max(np.abs(dD.values - (-0.5 * sigma**2) * s.D.values)) < 1e-11
-
-    def test_rejects_bi_closure(self, grid):
-        s = em_state(grid, seed=11, amplitude=0.2)
-        with pytest.raises(ConstraintError):
-            expectation_rhs(s, NoiseModel.empty(grid), closure="bi")
 
 
 class TestVorticity:
@@ -190,12 +189,7 @@ class TestVorticity:
         vals = np.zeros((3, *grid.shape))
         vals[2] = 1.0
         with pytest.raises(ConstraintError):
-            euler_vorticity_rhs(
-                VorticityState(VectorField(grid, vals)),
-                NoiseModel.empty(grid),
-                np.zeros(0),
-                0.1,
-            )
+            VorticityState(VectorField(grid, vals)).validate()
 
     def test_beltrami_is_stationary(self, grid):
         # the unit-amplitude swirl field is a curl eigenfield, so u = w and
@@ -209,7 +203,7 @@ class TestVorticity:
             ]
         )
         state = VorticityState(VectorField(grid, w))
-        out = euler_vorticity_rhs(state, NoiseModel.empty(grid), np.zeros(0), 1.0)
+        (out,) = apply(make_drift, "euler-vorticity", state)
         assert out.max_norm() < 1e-11
 
     def test_constant_noise_translation(self, grid):
@@ -217,14 +211,12 @@ class TestVorticity:
         state = VorticityState(w)
         sigma, dw = 0.5, 0.2
         noise = NoiseModel.from_modes(grid, [make_constant_mode(grid, (sigma, 0, 0))])
-        out = euler_vorticity_rhs(state, noise, np.array([dw]), dt=0.0)
+        (out,) = apply(make_noise_op, "euler-vorticity", state, noise, np.array([dw]))
         assert np.max(np.abs(out.values + sigma * dw * spectral_dx(grid, w.values))) < 1e-11
 
     def test_rhs_divergence_free(self, grid):
         w = random_band_limited(grid, seed=13, kmax=2, divfree=True)
-        out = euler_vorticity_rhs(
-            VorticityState(w), NoiseModel.empty(grid), np.zeros(0), 1.0
-        )
+        (out,) = apply(make_drift, "euler-vorticity", VorticityState(w))
         assert max_div(out) < 1e-12
 
 
@@ -244,9 +236,10 @@ class TestMHD:
         vals = np.zeros((3, *grid.shape))
         vals[0] = 0.8
         zero = VectorField.zeros(grid)
-        dP, dB = mhd_rhs(MHDState(VectorField(grid, vals), VectorField(grid, vals * 0.5)))
+        s = MHDState(VectorField(grid, vals), VectorField(grid, vals * 0.5))
+        dP, dB = apply(make_drift, "mhd", s)
         assert dP.max_norm() < 1e-12 and dB.max_norm() < 1e-12
-        dP, dB = mhd_rhs(MHDState(zero, VectorField(grid, vals)))
+        dP, dB = apply(make_drift, "mhd", MHDState(zero, VectorField(grid, vals)))
         assert dP.max_norm() < 1e-12 and dB.max_norm() < 1e-12
 
     def test_energy_flux_integral_vanishes(self):
@@ -254,7 +247,7 @@ class TestMHD:
         # spectrally; 32^3 with modest amplitudes puts it far below 1e-9
         g = GridSpec(32, 32, 32)
         s = helical_orthogonal_state(g, seed=14, eps=0.05, w_amp=0.15)
-        dP, dB = mhd_rhs(s)
+        dP, dB = apply(make_drift, "mhd", s)
         h = s.h_values()
         dh = np.sum(s.P.values * dP.values + s.B.values * dB.values, axis=0) / h
         drift = abs(float(np.mean(dh)) * g.volume)
@@ -263,24 +256,24 @@ class TestMHD:
     def test_floor_violation_aborts(self, grid):
         zero = VectorField.zeros(grid)
         with pytest.raises(NumericalError):
-            mhd_rhs(MHDState(zero, zero))
+            apply(make_drift, "mhd", MHDState(zero, zero))
 
     def test_db_divergence_free(self, grid):
         s = helical_orthogonal_state(grid, seed=15)
-        _, dB = mhd_rhs(s)
+        _, dB = apply(make_drift, "mhd", s)
         assert max_div(dB) < 1e-12
 
     def test_stochastic_zero_dw(self, grid):
         s = helical_orthogonal_state(grid, seed=16)
         noise = NoiseModel.from_modes(grid, [make_constant_mode(grid, (1, 0, 0))])
-        dP, dB = mhd_stochastic_increment(s, noise, np.zeros(1))
+        dP, dB = apply(make_noise_op, "mhd-stratonovich", s, noise, np.zeros(1))
         assert dP.max_norm() == 0.0 and dB.max_norm() == 0.0
 
     def test_stochastic_constant_reduction(self, grid):
         s = helical_orthogonal_state(grid, seed=17)
         sigma, dw = 0.4, 0.11
         noise = NoiseModel.from_modes(grid, [make_constant_mode(grid, (sigma, 0, 0))])
-        dP, dB = mhd_stochastic_increment(s, noise, np.array([dw]))
+        dP, dB = apply(make_noise_op, "mhd-stratonovich", s, noise, np.array([dw]))
         assert np.max(np.abs(dP.values + sigma * dw * spectral_dx(grid, s.P.values))) < 1e-11
         assert np.max(np.abs(dB.values + sigma * dw * spectral_dx(grid, s.B.values))) < 1e-11
 
@@ -292,8 +285,8 @@ class TestMHD:
             grid, [make_divfree_mode(grid, k=(0, 0, 1), a=(1, 0, 0), amplitude=0.5)]
         )
         const = NoiseModel.from_modes(grid, [make_constant_mode(grid, (0.5, 0, 0))])
-        dP_h, _ = mhd_stochastic_increment(s, harmonic, np.array([0.3]))
-        dP_c, _ = mhd_stochastic_increment(s, const, np.array([0.3]))
+        dP_h, _ = apply(make_noise_op, "mhd-stratonovich", s, harmonic, np.array([0.3]))
+        dP_c, _ = apply(make_noise_op, "mhd-stratonovich", s, const, np.array([0.3]))
         mom_h = np.linalg.norm(dP_h.values.mean(axis=(1, 2, 3)) * grid.volume)
         mom_c = np.linalg.norm(dP_c.values.mean(axis=(1, 2, 3)) * grid.volume)
         assert mom_c < 1e-10
@@ -317,11 +310,3 @@ class TestModelRegistry:
     def test_unknown_model(self):
         with pytest.raises(ConstraintError):
             get_model("navier-stokes")
-
-    def test_drift_closure_matches_public_op(self, grid):
-        s = em_state(grid, seed=19, amplitude=0.4)
-        f = make_drift(get_model("bi"), grid)
-        dD, dB = f((s.D.values, s.B.values))
-        pD, pB = bi_rhs(s)
-        assert np.max(np.abs(dD - pD.values)) < 1e-14
-        assert np.max(np.abs(dB - pB.values)) < 1e-14

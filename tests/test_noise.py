@@ -11,7 +11,6 @@ from sabi.noise import (
     WienerDriver,
     make_constant_mode,
     make_divfree_mode,
-    sample_increments,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -71,8 +70,8 @@ class TestDivfreeModes:
 class TestWienerDriver:
     def test_determinism(self):
         d = WienerDriver(seed=42, member_index=3, n_modes=4)
-        a = sample_increments(d, step=17, dt=0.01)
-        b = sample_increments(d, step=17, dt=0.01)
+        a = d.increments(step=17, dt=0.01)
+        b = d.increments(step=17, dt=0.01)
         assert a.tobytes() == b.tobytes()
 
     def test_step_and_member_separation(self):
