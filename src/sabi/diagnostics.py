@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import MHDState, VorticityState, _em_drift_arrays
-from .em_fields import EMState, bi_closure, bi_energy_density, maxwell_energy_density
+from .em_fields import (
+    EMState,
+    bi_closure,
+    bi_density,
+    bi_energy_density,
+    maxwell_energy_density,
+)
 from .errors import ConstraintError, NumericalError
 from .grid import (
     VectorField,
@@ -264,7 +270,7 @@ def km_bracket_residual(state: EMState) -> float:
     """
     grid = state.grid
     D, B = state.D.values, state.B.values
-    Hd, P, _, _ = bi_closure(D, B)
+    Hd, P = bi_density(D, B)
     v, gam, bet = P / Hd, D / Hd, B / Hd
 
     # stress-divergence route

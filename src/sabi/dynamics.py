@@ -11,7 +11,11 @@ modes get an exact spectral fast path there.
 
 The factories make_drift, make_noise_op and make_ito_correction are the one
 dynamics path: they return closures over bare tuples of arrays, which the
-runner, the verification suites and the tests all call.
+runner, the verification suites and the tests all call. With spectral=True
+they return closures over rfft spectra instead, for the linear Maxwell
+family under uniform noise only (spectral_path): there the curl, the
+transport along a constant xi and the Ito correction are all diagonal per
+wavevector, so a step needs no transform.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .grid import (
     VectorField,
     _curl_arr,
     _curl_inv_arr,
+    _curl_spec,
     _lie_1form_density_arr,
     _maybe_truncate,
     _transport_2form_arr,
@@ -144,6 +149,17 @@ def _em_drift_arrays(
     return _curl_arr(grid, H, mask=mask), -_curl_arr(grid, E, mask=mask)
 
 
+def _uniform_ito_multiplier(grid: GridSpec, const: np.ndarray) -> np.ndarray:
+    """-(1/2) sum_i (k.a_i)^2: the double Lie derivative of the uniform modes
+    a_i as a multiplier on rfft spectra."""
+    xk = (
+        const[:, 0, None, None, None] * grid.kx
+        + const[:, 1, None, None, None] * grid.ky
+        + const[:, 2, None, None, None] * grid.kz
+    )
+    return -0.5 * np.sum(xk**2, axis=0)
+
+
 def _double_lie_2form(
     grid: GridSpec, noise: NoiseModel, F: np.ndarray
 ) -> np.ndarray:
@@ -153,13 +169,7 @@ def _double_lie_2form(
     const = noise.constant_vectors()
     if len(const):
         spec = grid.rfft(F)
-        xk = (
-            const[:, 0, None, None, None] * grid.kx
-            + const[:, 1, None, None, None] * grid.ky
-            + const[:, 2, None, None, None] * grid.kz
-        )
-        mult = -0.5 * np.sum(xk**2, axis=0)
-        out += grid.irfft(mult * spec)
+        out += grid.irfft(_uniform_ito_multiplier(grid, const) * spec)
     for i in noise.nonconstant_indices():
         xi = noise.xis[i].values
         # Lie_xi Lie_xi F = T(T(F)) for the transport T = -Lie_xi
@@ -201,15 +211,51 @@ def _vorticity_drift_arrays(grid: GridSpec, w: np.ndarray) -> np.ndarray:
 Arrays = tuple[np.ndarray, ...]
 
 
+def spectral_path(model: ModelSpec, noise: NoiseModel) -> bool:
+    """True when every term of the model is diagonal per wavevector: the
+    linear Maxwell family with uniform noise modes only (or none). The
+    spectral closures then match the generic ones to round-off on states
+    without content on the Nyquist planes, where the generic path's inverse
+    transforms drop the imaginary part of every odd derivative."""
+    return model.closure == "maxwell" and all(noise.constant_flags)
+
+
+def _require_spectral(model: ModelSpec, noise: NoiseModel | None) -> None:
+    if model.closure != "maxwell" or (
+        noise is not None and not all(noise.constant_flags)
+    ):
+        raise ConstraintError(
+            f"model {model.name!r} with this noise has no transform-free spectral form"
+        )
+
+
 def make_drift(
     model: ModelSpec,
     grid: GridSpec,
     noise: NoiseModel | None = None,
     hmin: float = MHD_H_FLOOR,
+    spectral: bool = False,
 ) -> Callable[[Arrays], Arrays]:
+    if model.expectation and noise is None:
+        raise ConstraintError("maxwell-expectation requires a noise model")
+    if spectral:
+        _require_spectral(model, noise)
+        mult = (
+            _uniform_ito_multiplier(grid, noise.constant_vectors())
+            if model.expectation and noise.n_modes
+            else None
+        )
+
+        def f(specs: Arrays) -> Arrays:
+            D, B = specs
+            dD, dB = _curl_spec(grid, B), -_curl_spec(grid, D)
+            if mult is not None:
+                dD += mult * D
+                dB += mult * B
+            return dD, dB
+
+        return f
     if model.expectation:
-        if noise is None:
-            raise ConstraintError("maxwell-expectation requires a noise model")
 
         def f(arrs: Arrays) -> Arrays:
             D, B = arrs
@@ -242,10 +288,33 @@ def make_drift(
 
 
 def make_noise_op(
-    model: ModelSpec, grid: GridSpec, noise: NoiseModel
+    model: ModelSpec, grid: GridSpec, noise: NoiseModel, spectral: bool = False
 ) -> Callable[[Arrays, np.ndarray], Arrays]:
     """Returns g(state, dW) -> transport increment along sum_i xi_i dW_i."""
 
+    if spectral:
+        _require_spectral(model, noise)
+        const = noise.constant_vectors()
+        kx, ky, kz = grid.kx, grid.ky, grid.kz
+
+        def g(specs: Arrays, dW: np.ndarray) -> Arrays:
+            if noise.n_modes == 0:
+                return tuple(np.zeros_like(s) for s in specs)
+            # curl(a x F) for uniform a is ik x (a x F^) = i(a (k.F^) - F^ (k.a));
+            # the dealias mask is a per-wavevector factor, as on a x F
+            a = dW @ const
+            ka = a[0] * kx + a[1] * ky + a[2] * kz
+            out = []
+            for F in specs:
+                t = a[:, None, None, None] * (kx * F[0] + ky * F[1] + kz * F[2])
+                t -= ka * F
+                t *= 1j
+                if grid.dealias:
+                    t *= grid.dealias_mask
+                out.append(t)
+            return tuple(out)
+
+        return g
     if model.kind in ("em", "vorticity"):
 
         def g(arrs: Arrays, dW: np.ndarray) -> Arrays:
@@ -272,8 +341,16 @@ def make_noise_op(
 
 
 def make_ito_correction(
-    model: ModelSpec, grid: GridSpec, noise: NoiseModel
+    model: ModelSpec, grid: GridSpec, noise: NoiseModel, spectral: bool = False
 ) -> Callable[[Arrays], Arrays]:
+    if spectral:
+        _require_spectral(model, noise)
+        mult = _uniform_ito_multiplier(grid, noise.constant_vectors())
+
+        def c(specs: Arrays) -> Arrays:
+            return tuple(mult * s for s in specs)
+
+        return c
     if model.kind != "em":
         raise ConstraintError("Ito corrections are implemented for the em systems only")
 

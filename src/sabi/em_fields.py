@@ -63,14 +63,21 @@ class HydroVars:
     beta: VectorField
 
 
+def bi_density(D: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first half of bi_closure: Hd = sqrt(1 + |D|^2 + |B|^2 + |P|^2)
+    and P = D x B, for callers that need no variational derivatives."""
+    P = np.cross(D, B, axis=0)
+    Hd = np.sqrt(1.0 + np.sum(D * D + B * B + P * P, axis=0))
+    return Hd, P
+
+
 def bi_closure(
     D: np.ndarray, B: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The Born-Infeld constitutive relation, pointwise on raw arrays:
     Hd = sqrt(1 + |D|^2 + |B|^2 + |P|^2) with P = D x B, and the variational
     derivatives E = (D + B x P)/Hd and H = (B - D x P)/Hd."""
-    P = np.cross(D, B, axis=0)
-    Hd = np.sqrt(1.0 + np.sum(D * D + B * B + P * P, axis=0))
+    Hd, P = bi_density(D, B)
     E = (D + np.cross(B, P, axis=0)) / Hd
     H = (B - np.cross(D, P, axis=0)) / Hd
     return Hd, P, E, H
@@ -78,7 +85,7 @@ def bi_closure(
 
 def bi_energy_density(state: EMState) -> ScalarField:
     """sqrt(1 + |D|^2 + |B|^2 + |DxB|^2), pointwise; >= 1 everywhere."""
-    return ScalarField(state.grid, bi_closure(state.D.values, state.B.values)[0])
+    return ScalarField(state.grid, bi_density(state.D.values, state.B.values)[0])
 
 
 def maxwell_energy_density(state: EMState) -> ScalarField:
@@ -126,7 +133,7 @@ def hydro_vars(state: EMState) -> HydroVars:
     """v = P/H, gamma = D/H, beta = B/H with the BI closure (H >= 1, so the
     divisions are safe)."""
     D, B = state.D.values, state.B.values
-    Hd, P, _, _ = bi_closure(D, B)
+    Hd, P = bi_density(D, B)
     grid = state.grid
     return HydroVars(
         Hd=ScalarField(grid, Hd),

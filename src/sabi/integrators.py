@@ -1,7 +1,8 @@
 """Time steppers.
 
-States are bare tuples of float arrays (any shapes), so the same steppers
-drive the field systems, tracer loops, and scalar SDE test problems. Every
+States are bare tuples of arrays (any shapes; real samples, or the complex
+rfft spectra of the spectral path), so the same steppers drive the field
+systems, tracer loops, and scalar SDE test problems. Every
 update term produced by the dynamics layer is spectrally a curl (or a
 1-form-density transport), so the steppers preserve the divergence
 constraints without doing anything about them.
@@ -66,9 +67,11 @@ def _lincomb(base: Arrays, *terms: tuple[float, Arrays]) -> Arrays:
 
 
 def check_finite(state: Arrays, context: str = "") -> None:
-    """Abort on NaN/Inf anywhere in the state."""
+    """Abort on NaN/Inf anywhere in the state (real arrays or spectra)."""
     total = 0.0
     for a in state:
+        if np.iscomplexobj(a):
+            a = a.view(a.real.dtype)  # real and imaginary parts side by side
         total += float(np.sum(a, dtype=np.float64))
     if not np.isfinite(total):
         raise NumericalError(f"non-finite state detected {context}".strip())

@@ -27,12 +27,13 @@ from .dynamics import (
     make_drift,
     make_ito_correction,
     make_noise_op,
+    spectral_path,
 )
 from .em_fields import EMState
 from .errors import NumericalError
 from .grid import GridSpec, VectorField, _curl_inv_arr
 from .integrators import check_finite, euler_maruyama_step, heun_stratonovich_step, rk4_step
-from .noise import WienerDriver
+from .noise import NoiseModel, WienerDriver
 from .outputs import (
     read_checkpoint,
     write_checkpoint,
@@ -111,28 +112,23 @@ def _check_cfl(config: RunConfig, model: ModelSpec, arrs) -> None:
         )
 
 
-def run_member(
-    config: RunConfig,
-    member: int,
-    out_dir: Path | None = None,
-    start_step: int = 0,
-    start_arrays: tuple[np.ndarray, ...] | None = None,
-    csv_prefix: str | None = None,
-) -> MemberResult:
-    """Integrate one ensemble member from start_step to the end of the run."""
-    grid = config.grid
-    model = get_model(config.model)
-    noise = config.build_noise()
-    drift = make_drift(model, grid, noise if model.expectation else None)
-    scheme = config.integrator.scheme
-    dt = config.integrator.dt
-    n_steps = config.integrator.n_steps
-
+def make_stepper(
+    model: ModelSpec,
+    grid: GridSpec,
+    noise: NoiseModel,
+    scheme: str,
+    dt: float,
+    spectral: bool = False,
+):
+    """step(state, dW) -> state after one step of the configured scheme; dW is
+    ignored by deterministic steps. With spectral=True the state is the
+    tuple of rfft spectra (see dynamics.spectral_path)."""
+    drift = make_drift(model, grid, noise if model.expectation else None, spectral=spectral)
     noise_op = None
     if model.calculus is not None:
-        noise_op = make_noise_op(model, grid, noise)
+        noise_op = make_noise_op(model, grid, noise, spectral=spectral)
     if model.calculus == "ito":
-        correction = make_ito_correction(model, grid, noise)
+        correction = make_ito_correction(model, grid, noise, spectral=spectral)
 
         def ito_drift(arrs):
             f = drift(arrs)
@@ -141,6 +137,41 @@ def run_member(
 
     else:
         ito_drift = drift
+    if model.calculus is None or scheme == "rk4":
+        # rk4 on a transport model runs without modes
+        return lambda state, dW: rk4_step(state, drift, dt)
+    if scheme == "heun":
+        return lambda state, dW: heun_stratonovich_step(state, drift, noise_op, dt, dW)
+    return lambda state, dW: euler_maruyama_step(state, ito_drift, noise_op, dt, dW)
+
+
+def run_member(
+    config: RunConfig,
+    member: int,
+    out_dir: Path | None = None,
+    start_step: int = 0,
+    start_arrays: tuple[np.ndarray, ...] | None = None,
+    csv_prefix: str | None = None,
+) -> MemberResult:
+    """Integrate one ensemble member from start_step to the end of the run.
+
+    On the spectral path the state stays as rfft spectra between steps; the
+    physical arrays are made only for samples, snapshots, checkpoints and
+    the result, and a checkpoint step re-derives the spectra from the arrays
+    it wrote, so a resumed run continues from exactly the same state."""
+    grid = config.grid
+    model = get_model(config.model)
+    noise = config.build_noise()
+    dt = config.integrator.dt
+    n_steps = config.integrator.n_steps
+    spectral = spectral_path(model, noise)
+    step_fn = make_stepper(model, grid, noise, config.integrator.scheme, dt, spectral)
+
+    def to_state(arrs):
+        return tuple(grid.rfft(a) for a in arrs) if spectral else arrs
+
+    def to_arrays(state):
+        return tuple(grid.irfft(s) for s in state) if spectral else state
 
     driver = WienerDriver(config.ensemble.seed, member, noise.n_modes)
     arrs = tuple(a.copy() for a in (start_arrays or initial_arrays(config)))
@@ -201,27 +232,28 @@ def run_member(
             sample(0)
             if snap_every:
                 snapshot(0)
+        state = to_state(arrs)
         for step in range(start_step, n_steps):
-            if model.calculus is None:
-                arrs = rk4_step(arrs, drift, dt)
-            else:
-                dW = driver.increments(step, dt)
-                if scheme == "heun":
-                    arrs = heun_stratonovich_step(arrs, drift, noise_op, dt, dW)
-                elif scheme == "euler-maruyama":
-                    arrs = euler_maruyama_step(arrs, ito_drift, noise_op, dt, dW)
-                else:  # deterministic rk4 on a transport model without modes
-                    arrs = rk4_step(arrs, drift, dt)
+            arrs = None  # only `state` lives across steps; outputs remake the arrays
+            dW = driver.increments(step, dt) if model.calculus is not None else None
+            state = step_fn(state, dW)
             done = step + 1
-            check_finite(arrs, context=f"at step {done}")
-            if done % diag_every == 0 or done == n_steps:
+            check_finite(state, context=f"at step {done}")
+            do_sample = done % diag_every == 0 or done == n_steps
+            do_snap = snap_every and (done % snap_every == 0 or done == n_steps)
+            do_ckpt = ckpt_every and done % ckpt_every == 0
+            if not (do_sample or do_snap or do_ckpt or done == n_steps):
+                continue
+            arrs = to_arrays(state)
+            if do_sample:
                 sample(done)
                 if model.kind == "vorticity":
                     _check_cfl(config, model, arrs)
-            if snap_every and (done % snap_every == 0 or done == n_steps):
+            if do_snap:
                 snapshot(done)
-            if ckpt_every and done % ckpt_every == 0:
+            if do_ckpt:
                 checkpoint(done)
+                state = to_state(arrs)
     except NumericalError as exc:
         raise NumericalError(f"member {member}: {exc}") from exc
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .diagnostics import (
 from .dynamics import get_model, make_drift, make_noise_op
 from .em_fields import (
     EMState,
-    bi_closure,
+    bi_density,
     bi_variational_derivatives,
     momentum_map_pairing,
 )
@@ -238,7 +239,7 @@ def _energy_error_scan(
     state0 = (D.values, B.values)
 
     def energy(arrs):
-        return float(np.mean(bi_closure(*arrs)[0])) * grid.volume
+        return float(np.mean(bi_density(*arrs)[0])) * grid.volume
 
     e0 = energy(state0)
     return _heun_error_scan(
@@ -347,13 +348,19 @@ def _weak_field_config(
     )
 
 
+@lru_cache(maxsize=None)
 def _weak_field_ensemble(model: str, members: int, grid_n: int, sigma: float, dt: float, t_end: float):
+    """Ensemble mean and variance of the mean of the final (D, B); integrated
+    once per process and argument tuple (C6 and C7 share the maxwell-ito
+    ensemble), so the arrays are read-only."""
     cfg = _weak_field_config(model, grid_n, sigma, dt, t_end, {"members": members, "seed": 23})
     result = run_ensemble(cfg)
     finals = np.array([np.stack(m.final_arrays) for m in result.members])
     # shape (members, 2, 3, nx, ny, nz)
     mean = finals.mean(axis=0)
     var = finals.var(axis=0, ddof=1) / members
+    mean.flags.writeable = False
+    var.flags.writeable = False
     return mean, var
 
 
@@ -504,7 +511,8 @@ def _kelvin_residual(grid_n: int, n_steps: int, n_loop: int, stochastic: bool = 
     """Tracked-loop residual of the circulation law over one nonlinear BI
     run: c(T) - c(0) + int F dt along the advected loop. The stochastic run
     adds Stratonovich transport along one harmonic correlation field, and the
-    loop rides the same dW as the fields."""
+    loop rides the same dW as the fields; its n_steps must be a power of two
+    (the increments of a dyadic Brownian path on [0, t_end])."""
     grid = GridSpec(grid_n, grid_n, grid_n)
     seed, amplitude = (161, 0.3) if stochastic else (151, 0.15)
     D = _band_limited(grid, seed=seed, kmax=2, amplitude=amplitude, divfree=True)
@@ -521,12 +529,11 @@ def _kelvin_residual(grid_n: int, n_steps: int, n_loop: int, stochastic: bool = 
         )
         g = make_noise_op(get_model("bi-stratonovich"), grid, noise)
         path = DyadicBrownianPath(seed=3003, member_index=0, n_modes=1, t_end=t_end)
-        # nearest dyadic refinement at or above n_steps
-        dWs = path.increments(1 << (n_steps - 1).bit_length())[:n_steps]
+        dWs = path.increments(n_steps)  # ValueError unless a power of two
     loop = TracerLoop.circle((np.pi, np.pi, np.pi), 1.2, n_loop)
 
     def fields_of(arrs):
-        Hd, P, _, _ = bi_closure(*arrs)
+        Hd, P = bi_density(*arrs)
         gam, bet = arrs[0] / Hd, arrs[1] / Hd
         force = VectorField(
             grid,
@@ -574,7 +581,7 @@ def suite_kelvin(grid_n: int = 16, **_) -> SuiteReport:
     # fields' dW (its dW-scaling is reported, never asserted)
     rep.notes.append(
         "stochastic-loop residual (reported only): "
-        f"{_kelvin_residual(grid_n, 50, 128, stochastic=True):.3e}"
+        f"{_kelvin_residual(grid_n, 64, 128, stochastic=True):.3e}"
     )
     return rep
 

@@ -2,14 +2,17 @@
 
 perfbench/spans.py wraps the names that sabi.runner looks up, and patches
 methods through their class __dict__. A refactor that moves or renames one
-of them would make a per-layer benchmark metric read -1 (missing); these
-tests fail instead. spans.py is parsed with ast, never imported.
+of them, or a fast path that routes around one, would make a per-layer
+benchmark metric read -1 (missing); these tests fail instead. spans.py is
+parsed with ast, never imported.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import sabi.runner
+from sabi.config import parse_config
 import sabi.verify
 from sabi.grid import GridSpec
 from sabi.noise import NoiseModel, WienerDriver
@@ -41,3 +44,31 @@ def test_patched_methods_live_in_class_dict():
 
 def test_ensemble_check_helper_exists():
     assert callable(sabi.verify._component_l2_comparison)
+
+
+def test_spectral_run_calls_every_wrapped_boundary(monkeypatch):
+    calls = Counter()
+
+    def spy(name):
+        original = getattr(sabi.runner, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sabi.runner, name, wrapped)
+
+    for name in ("make_drift", "make_noise_op", "make_ito_correction", "euler_maruyama_step"):
+        spy(name)
+    cfg = parse_config(
+        {
+            "model": "maxwell-ito",
+            "grid": {"nx": 8, "ny": 8, "nz": 8},
+            "initial": {"preset": "plane-wave", "amplitude": 0.05},
+            "noise": {"modes": [{"type": "constant", "a": [0.4, 0.0, 0.0]}]},
+            "integrator": {"dt": 0.01, "t_end": 0.05},
+        }
+    )
+    sabi.runner.run_member(cfg, 0)
+    assert calls["make_drift"] == calls["make_noise_op"] == calls["make_ito_correction"] == 1
+    assert calls["euler_maruyama_step"] == cfg.integrator.n_steps == 5

@@ -202,6 +202,11 @@ class TestRunOutputs:
                 "euler-maruyama",
                 {"noise": {"modes": [{"type": "constant", "a": [0.4, 0, 0]}]}},
             ),
+            (
+                "maxwell-ito",
+                "euler-maruyama",
+                {"noise": {"modes": [{"type": "constant", "a": [0.4, 0, 0]}]}},
+            ),
             ("mhd", "rk4", {"initial": {"preset": "helical-orthogonal", "amplitude": 0.1}}),
             (
                 "euler-vorticity",

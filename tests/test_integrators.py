@@ -176,6 +176,13 @@ class TestGuards:
         with pytest.raises(NumericalError):
             check_finite((np.array([1.0, np.nan]),))
 
+    def test_nan_in_imaginary_part_of_spectrum_detected(self):
+        spec = np.fft.rfftn(np.ones((4, 4, 4)))
+        check_finite((spec,))
+        spec[1, 2, 0] = complex(0.0, np.nan)
+        with pytest.raises(NumericalError):
+            check_finite((spec,))
+
     def test_integrator_config_validation(self):
         with pytest.raises(ConfigError):
             IntegratorConfig(scheme="rk9", dt=0.1, t_end=1.0)
