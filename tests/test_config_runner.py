@@ -202,11 +202,6 @@ class TestRunOutputs:
                 "euler-maruyama",
                 {"noise": {"modes": [{"type": "constant", "a": [0.4, 0, 0]}]}},
             ),
-            (
-                "maxwell-ito",
-                "euler-maruyama",
-                {"noise": {"modes": [{"type": "constant", "a": [0.4, 0, 0]}]}},
-            ),
             ("mhd", "rk4", {"initial": {"preset": "helical-orthogonal", "amplitude": 0.1}}),
             (
                 "euler-vorticity",
@@ -215,6 +210,11 @@ class TestRunOutputs:
                     "initial": {"preset": "taylor-green", "amplitude": 0.5},
                     "noise": {"modes": [{"type": "constant", "a": [0.3, 0, 0]}]},
                 },
+            ),
+            (
+                "maxwell-ito",
+                "euler-maruyama",
+                {"noise": {"modes": [{"type": "constant", "a": [0.4, 0, 0]}]}},
             ),
         ],
     )
