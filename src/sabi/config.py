@@ -161,7 +161,7 @@ def _parse_grid(data: dict) -> GridSpec:
         raise ConfigError(f"grid: {exc}") from exc
 
 
-def _parse_initial(data: dict, model_kind: str) -> InitialConfig:
+def _parse_initial(data: dict, model_kind: str, grid: GridSpec) -> InitialConfig:
     _require_keys(
         "initial",
         data,
@@ -169,7 +169,7 @@ def _parse_initial(data: dict, model_kind: str) -> InitialConfig:
     )
     default_preset = "helical-orthogonal" if model_kind == "mhd" else "random-band-limited"
     preset = _typed("initial.preset", data.get("preset", default_preset), str)
-    check_preset(preset, model_kind)
+    check_preset(preset, model_kind, grid)
     return InitialConfig(
         preset=preset,
         seed=_typed("initial.seed", data.get("seed", 0), int),
@@ -260,7 +260,7 @@ def parse_config(data: dict) -> RunConfig:
     except Exception as exc:
         raise ConfigError(f"model: {exc}") from exc
     grid = _parse_grid(data["grid"])
-    initial = _parse_initial(data.get("initial", {}), model.kind)
+    initial = _parse_initial(data.get("initial", {}), model.kind, grid)
     noise_modes = _parse_noise(data.get("noise", {"modes": []}))
     if noise_modes and model.calculus is None and not model.expectation:
         raise ConfigError(

@@ -14,16 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MHDState, VorticityState, _em_drift_arrays
-from .em_fields import (
-    EMState,
-    bi_closure,
-    bi_density,
-    bi_energy_density,
-    maxwell_energy_density,
-)
+from .dynamics import MHD_H_FLOOR, Arrays, ModelSpec, make_drift, mhd_density
+from .em_fields import bi_closure, bi_density, hydro_force, hydro_variables
 from .errors import ConstraintError, NumericalError
 from .grid import (
+    GridSpec,
     VectorField,
     _curl_arr,
     _curl_inv_arr,
@@ -96,38 +91,49 @@ class DiagnosticsRecord:
 # integrals
 
 
-def total_energy(state: EMState | MHDState | VorticityState, model: str) -> float:
-    """Volume integral of the model's energy density."""
-    if isinstance(state, EMState):
-        closure = "bi" if model.startswith("bi") else "maxwell"
-        dens = bi_energy_density(state) if closure == "bi" else maxwell_energy_density(state)
-        return float(np.mean(dens.values)) * state.grid.volume
-    if isinstance(state, MHDState):
-        h = state.h_values()
+def total_energy(
+    model: ModelSpec, grid: GridSpec, arrs: Arrays, u: np.ndarray | None = None
+) -> float:
+    """Volume integral of the model's energy density over its state arrays
+    ((D, B), (P, B) or (w,)). u is the vorticity run's velocity curl^-1 w,
+    computed here unless the caller already has it."""
+    if model.kind == "em":
+        D, B = arrs
+        if model.closure == "bi":
+            dens = bi_density(D, B)[0]
+        else:
+            dens = 0.5 * np.sum(D**2 + B**2, axis=0)
+        return float(np.mean(dens)) * grid.volume
+    if model.kind == "mhd":
+        h = mhd_density(*arrs)
         hmin = float(np.min(h))
-        if hmin <= state.hmin:
+        if hmin <= MHD_H_FLOOR:
             raise NumericalError(
                 f"degenerate high-field state: min h = {hmin:.3e} at the floor"
             )
-        return float(np.mean(h)) * state.grid.volume
-    if isinstance(state, VorticityState):
-        u = _curl_inv_arr(state.grid, state.w.values)
-        return 0.5 * float(np.mean(np.sum(u * u, axis=0))) * state.grid.volume
-    raise ConstraintError(f"no energy functional for {type(state).__name__}")
+        return float(np.mean(h)) * grid.volume
+    if model.kind == "vorticity":
+        if u is None:
+            u = _curl_inv_arr(grid, arrs[0])
+        return 0.5 * float(np.mean(np.sum(u * u, axis=0))) * grid.volume
+    raise ConstraintError(f"no energy functional for model kind {model.kind!r}")
 
 
-def total_momentum(state: EMState | MHDState | VorticityState) -> np.ndarray:
+def total_momentum(
+    model: ModelSpec, grid: GridSpec, arrs: Arrays, u: np.ndarray | None = None
+) -> np.ndarray:
     """Volume integral of the momentum density (D x B for the field systems,
-    P for the high-field limit, the velocity for vorticity runs)."""
-    if isinstance(state, EMState):
-        P = np.cross(state.D.values, state.B.values, axis=0)
-        return P.mean(axis=(1, 2, 3)) * state.grid.volume
-    if isinstance(state, MHDState):
-        return state.P.values.mean(axis=(1, 2, 3)) * state.grid.volume
-    if isinstance(state, VorticityState):
-        u = _curl_inv_arr(state.grid, state.w.values)
-        return u.mean(axis=(1, 2, 3)) * state.grid.volume
-    raise ConstraintError(f"no momentum functional for {type(state).__name__}")
+    P for the high-field limit, the velocity u = curl^-1 w for vorticity
+    runs, computed here unless the caller already has it)."""
+    if model.kind == "em":
+        P = np.cross(arrs[0], arrs[1], axis=0)
+    elif model.kind == "mhd":
+        P = arrs[0]
+    elif model.kind == "vorticity":
+        P = _curl_inv_arr(grid, arrs[0]) if u is None else u
+    else:
+        raise ConstraintError(f"no momentum functional for model kind {model.kind!r}")
+    return P.mean(axis=(1, 2, 3)) * grid.volume
 
 
 def magnetic_helicity(B: VectorField) -> float:
@@ -140,10 +146,10 @@ def magnetic_helicity(B: VectorField) -> float:
     return float(np.mean(np.sum(A.values * B.values, axis=0))) * B.grid.volume
 
 
-def pb_orthogonality(state: MHDState) -> float:
+def pb_orthogonality(P: np.ndarray, B: np.ndarray) -> float:
     """max |P.B| / h, the monitored constraint of the high-field system."""
-    pb = np.abs(np.sum(state.P.values * state.B.values, axis=0))
-    return float(np.max(pb / state.h_values()))
+    pb = np.abs(np.sum(P * B, axis=0))
+    return float(np.max(pb / mhd_density(P, B)))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +266,7 @@ def lp_bracket_check(
     return lhs, rhs
 
 
-def km_bracket_residual(state: EMState) -> float:
+def km_bracket_residual(grid: GridSpec, D: np.ndarray, B: np.ndarray) -> float:
     """Relative L2 mismatch between the two routes to the momentum equation:
     the conservative stress form versus transport plus the force terms built
     from independent variational derivatives (B/H and D/H).
@@ -268,10 +274,8 @@ def km_bracket_residual(state: EMState) -> float:
     Both routes are assembled from raw (untruncated) products; for smooth
     band-limited states the mismatch sits at spectral-tail level.
     """
-    grid = state.grid
-    D, B = state.D.values, state.B.values
     Hd, P = bi_density(D, B)
-    v, gam, bet = P / Hd, D / Hd, B / Hd
+    v, gam, bet = hydro_variables(D, B, Hd, P)
 
     # stress-divergence route
     T = (P[None, :] * P[:, None] - D[None, :] * D[:, None] - B[None, :] * B[:, None]) / Hd
@@ -291,18 +295,18 @@ def km_bracket_residual(state: EMState) -> float:
     return num / max(den, 1e-30)
 
 
-def vorticity_transport_residual(state: EMState, closure: str = "bi") -> float:
+def vorticity_transport_residual(
+    model: ModelSpec, grid: GridSpec, D: np.ndarray, B: np.ndarray
+) -> float:
     """Relative L2 residual of the curl of the momentum-velocity equation:
     d(curl v)/dt - curl(v x curl v) + curl(gamma x curl gamma
-    + beta x curl beta), with the time derivative chained through the field
-    equations. Vanishes at spectral-tail level on smooth states.
+    + beta x curl beta), with the time derivative chained through the
+    model's field equations. Vanishes at spectral-tail level on smooth states.
     """
-    grid = state.grid
-    D, B = state.D.values, state.B.values
     Hd, P, E, Hf = bi_closure(D, B)
-    v, gam, bet = P / Hd, D / Hd, B / Hd
+    v, gam, bet = hydro_variables(D, B, Hd, P)
 
-    dD, dB = _em_drift_arrays(grid, closure, D, B)
+    dD, dB = make_drift(model, grid)((D, B))
     dP = np.cross(dD, B, axis=0) + np.cross(D, dB, axis=0)
     dH = np.sum(E * dD + Hf * dB, axis=0)
     dv = (dP - v * dH[None]) / Hd
@@ -310,11 +314,7 @@ def vorticity_transport_residual(state: EMState, closure: str = "bi") -> float:
 
     vort = _curl_arr(grid, v)
     transport = _curl_arr(grid, np.cross(v, vort, axis=0))
-    forces = _curl_arr(
-        grid,
-        np.cross(gam, _curl_arr(grid, gam), axis=0)
-        + np.cross(bet, _curl_arr(grid, bet), axis=0),
-    )
+    forces = _curl_arr(grid, hydro_force(grid, gam, bet))
     residual = d_vort - transport + forces
     num = float(np.sqrt(np.sum(residual**2) * grid.cell_volume))
     den = float(np.sqrt(np.sum(d_vort**2) * grid.cell_volume))
@@ -326,27 +326,34 @@ def vorticity_transport_residual(state: EMState, closure: str = "bi") -> float:
 
 
 def collect_record(
-    state: EMState | MHDState | VorticityState,
-    model: str,
+    model: ModelSpec,
+    grid: GridSpec,
+    arrs: Arrays,
     time: float,
-    circulation: float | None = None,
-    with_helicity: bool = True,
 ) -> DiagnosticsRecord:
-    if isinstance(state, EMState):
-        checks = {"div_d": max_div(state.D), "div_b": max_div(state.B)}
-    elif isinstance(state, MHDState):
+    """One diagnostics sample of the model's state arrays ((D, B), (P, B) or
+    (w,)); the vorticity velocity u = curl^-1 w is computed once and shared
+    by the energy and the momentum."""
+    u = None
+    if model.kind == "em":
         checks = {
-            "div_b": max_div(state.B),
-            "helicity": magnetic_helicity(state.B) if with_helicity else None,
-            "pb_orth": pb_orthogonality(state),
+            "div_d": max_div(VectorField(grid, arrs[0])),
+            "div_b": max_div(VectorField(grid, arrs[1])),
+        }
+    elif model.kind == "mhd":
+        B = VectorField(grid, arrs[1])
+        checks = {
+            "div_b": max_div(B),
+            "helicity": magnetic_helicity(B),
+            "pb_orth": pb_orthogonality(*arrs),
         }
     else:
-        checks = {"div_b": max_div(state.w)}
+        checks = {"div_b": max_div(VectorField(grid, arrs[0]))}
+        u = _curl_inv_arr(grid, arrs[0])
     rec = DiagnosticsRecord(
         time=time,
-        energy=total_energy(state, model),
-        momentum=tuple(float(m) for m in total_momentum(state)),
-        circulation=circulation,
+        energy=total_energy(model, grid, arrs, u),
+        momentum=tuple(float(m) for m in total_momentum(model, grid, arrs, u)),
         **checks,
     )
     rec.validate()

@@ -29,15 +29,12 @@ from .em_fields import bi_closure
 from .errors import ConstraintError, NumericalError
 from .grid import (
     GridSpec,
-    VectorField,
     _curl_arr,
     _curl_inv_arr,
     _curl_spec,
     _lie_1form_density_arr,
     _maybe_truncate,
     _transport_2form_arr,
-    max_div,
-    mean_component,
 )
 from .noise import NoiseModel
 
@@ -80,57 +77,6 @@ def get_model(name: str) -> ModelSpec:
         raise ConstraintError(
             f"unknown model {name!r}; expected one of {sorted(_MODELS)}"
         ) from None
-
-
-# ---------------------------------------------------------------------------
-# additional state types
-
-
-@dataclass(frozen=True)
-class MHDState:
-    """Momentum density P and magnetic flux B of the high-field limit."""
-
-    P: VectorField
-    B: VectorField
-    hmin: float = MHD_H_FLOOR
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.P.grid
-
-    def h_values(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.P.values**2 + self.B.values**2, axis=0))
-
-    def validate(self, div_tol: float = 1e-8) -> None:
-        d = max_div(self.B)
-        if d > div_tol:
-            raise ConstraintError(f"max|div B| = {d:.3e} exceeds {div_tol}")
-        hmin_seen = float(np.min(self.h_values()))
-        if hmin_seen <= self.hmin:
-            raise NumericalError(
-                f"energy density floor breached: min h = {hmin_seen:.3e} <= {self.hmin}"
-            )
-
-
-@dataclass(frozen=True)
-class VorticityState:
-    """Divergence-free, zero-mean vorticity field."""
-
-    w: VectorField
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.w.grid
-
-    def validate(self, div_tol: float = 1e-8) -> None:
-        d = max_div(self.w)
-        if d > div_tol:
-            raise ConstraintError(f"max|div w| = {d:.3e} exceeds {div_tol}")
-        m = float(np.max(np.abs(mean_component(self.w))))
-        if m > 1e-10:
-            raise ConstraintError(
-                f"vorticity carries a mean mode (|{m:.3e}|); curl_inv has no preimage"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +124,15 @@ def _double_lie_2form(
     return out
 
 
+def mhd_density(P: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Energy density of the high-field limit, h = sqrt(|P|^2 + |B|^2)."""
+    return np.sqrt(np.sum(P * P + B * B, axis=0))
+
+
 def _mhd_drift_arrays(
     grid: GridSpec, P: np.ndarray, B: np.ndarray, hmin: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    h = np.sqrt(np.sum(P * P + B * B, axis=0))
+    h = mhd_density(P, B)
     h_floor = float(np.min(h))
     if h_floor <= hmin:
         raise NumericalError(

@@ -1,18 +1,20 @@
 """Named initial conditions.
 
-Every preset returns fields already truncated to the grid's dealias band (so
-products stay alias-free from the first step) and satisfying the structural
-constraints of the model kind it supports.
+Every preset returns the state arrays of the model kind it supports ((D, B),
+(P, B) or (w,)), already truncated to the grid's dealias band (so products
+stay alias-free from the first step) and satisfying that kind's structural
+constraints. The formulas of taylor-green and abc have period 2*pi in every
+direction, and helical-orthogonal's base field has period 2*pi in z; on
+other boxes they would not be periodic, so those boxes are rejected.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import MHDState, VorticityState
-from .em_fields import EMState
+from .dynamics import Arrays
 from .errors import ConfigError
-from .grid import GridSpec, VectorField, _truncate, curl, project_divfree
+from .grid import TWO_PI, GridSpec, VectorField, _curl_arr, _truncate, project_divfree
 
 PRESET_MODELS = {
     "plane-wave": ("em",),
@@ -22,15 +24,29 @@ PRESET_MODELS = {
     "helical-orthogonal": ("mhd",),
 }
 
+# the box lengths each preset's formulas fix at 2*pi
+_PRESET_PERIODS = {
+    "taylor-green": ("Lx", "Ly", "Lz"),
+    "abc": ("Lx", "Ly", "Lz"),
+    "helical-orthogonal": ("Lz",),
+}
 
-def check_preset(preset: str, model_kind: str) -> None:
-    """Reject unknown presets and presets that do not build this model kind."""
+
+def check_preset(preset: str, model_kind: str, grid: GridSpec) -> None:
+    """Reject unknown presets, presets that do not build this model kind, and
+    presets whose formulas assume a 2*pi period on a box with another one."""
     if preset not in PRESET_MODELS:
         raise ConfigError(
             f"initial.preset: unknown preset {preset!r}; known: {sorted(PRESET_MODELS)}"
         )
     if model_kind not in PRESET_MODELS[preset]:
         raise ConfigError(f"initial.preset: {preset!r} does not support {model_kind} models")
+    for name in _PRESET_PERIODS.get(preset, ()):
+        length = getattr(grid, name)
+        if length != TWO_PI:
+            raise ConfigError(
+                f"initial.preset: {preset!r} assumes a 2*pi period; grid.{name} = {length!r}"
+            )
 
 
 def _preset_rng(seed: int, salt: int) -> np.random.Generator:
@@ -64,20 +80,17 @@ def random_divfree_field(
     return VectorField(grid, field.values * (amplitude / scale))
 
 
-def plane_wave(grid: GridSpec, amplitude: float, k: int = 1) -> EMState:
+def plane_wave(grid: GridSpec, amplitude: float, k: int = 1) -> Arrays:
     """Right-moving weak-field wave: D = (0, a cos kx, 0), B = (0, 0, a cos kx)."""
     if k == 0:
         raise ConfigError("initial.k: plane-wave mode index must be nonzero")
     X, _, _ = grid.meshgrid()
     zero = np.zeros_like(X)
     c = amplitude * np.cos(2.0 * np.pi * k * X / grid.Lx)
-    return EMState(
-        VectorField(grid, np.stack([zero, c, zero])),
-        VectorField(grid, np.stack([zero, zero, c])),
-    )
+    return (np.stack([zero, c, zero]), np.stack([zero, zero, c]))
 
 
-def taylor_green(grid: GridSpec, amplitude: float) -> VorticityState:
+def taylor_green(grid: GridSpec, amplitude: float) -> Arrays:
     """Vorticity of the classic cellular velocity field."""
     X, Y, Z = grid.meshgrid()
     u = amplitude * np.stack(
@@ -87,19 +100,17 @@ def taylor_green(grid: GridSpec, amplitude: float) -> VorticityState:
             np.zeros_like(X),
         ]
     )
-    return VorticityState(curl(VectorField(grid, u)))
+    return (_curl_arr(grid, u),)
 
 
-def abc_field(grid: GridSpec, amplitude: float) -> VectorField:
-    """Equal-coefficient swirl field; a curl eigenfield with eigenvalue 1."""
+def abc_field(grid: GridSpec, amplitude: float) -> Arrays:
+    """Vorticity equal to the equal-coefficient swirl field, a curl
+    eigenfield with eigenvalue 1."""
     X, Y, Z = grid.meshgrid()
-    return VectorField(
-        grid,
-        amplitude
-        * np.stack(
-            [np.sin(Z) + np.cos(Y), np.sin(X) + np.cos(Z), np.sin(Y) + np.cos(X)]
-        ),
+    w = amplitude * np.stack(
+        [np.sin(Z) + np.cos(Y), np.sin(X) + np.cos(Z), np.sin(Y) + np.cos(X)]
     )
+    return (w,)
 
 
 def helical_orthogonal(
@@ -108,7 +119,7 @@ def helical_orthogonal(
     amplitude: float,
     kmax: int,
     momentum_amplitude: float,
-) -> MHDState:
+) -> Arrays:
     """High-field data with P.B = 0 pointwise and h bounded away from zero.
 
     B is a unit-norm circularly polarized mode plus a small random div-free
@@ -134,7 +145,7 @@ def helical_orthogonal(
     B_t = _truncate(grid, B) if grid.dealias else B
     h2 = np.sum(B_t * B_t, axis=0)
     P = P - B_t * (np.sum(P * B_t, axis=0) / h2)[None]
-    return MHDState(VectorField(grid, P), VectorField(grid, B_t))
+    return (P, B_t)
 
 
 def build_initial_state(
@@ -146,27 +157,27 @@ def build_initial_state(
     kmax: int,
     k: int,
     momentum_amplitude: float,
-):
+) -> Arrays:
     """Dispatch a named preset for the given model kind."""
-    check_preset(preset, model_kind)
+    check_preset(preset, model_kind, grid)
     if preset == "plane-wave":
         return plane_wave(grid, amplitude, k)
     if preset == "taylor-green":
         return taylor_green(grid, amplitude)
     if preset == "abc":
-        return VorticityState(abc_field(grid, amplitude))
+        return abc_field(grid, amplitude)
     if preset == "helical-orthogonal":
         return helical_orthogonal(grid, seed, amplitude, kmax, momentum_amplitude)
     # random-band-limited
     if model_kind == "em":
         D = random_divfree_field(grid, seed, salt=3, kmax=kmax, amplitude=amplitude)
         B = random_divfree_field(grid, seed, salt=4, kmax=kmax, amplitude=amplitude)
-        return EMState(D, B)
+        return (D.values, B.values)
     if model_kind == "mhd":
         P = random_divfree_field(
             grid, seed, salt=5, kmax=kmax, amplitude=amplitude, divfree=False
         )
         B = random_divfree_field(grid, seed, salt=6, kmax=kmax, amplitude=amplitude)
-        return MHDState(P, B)
+        return (P.values, B.values)
     w = random_divfree_field(grid, seed, salt=7, kmax=kmax, amplitude=amplitude)
-    return VorticityState(w)
+    return (w.values,)

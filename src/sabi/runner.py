@@ -20,18 +20,15 @@ from . import __version__
 from .config import RunConfig, parse_config
 from .diagnostics import DiagnosticsRecord, collect_record
 from .dynamics import (
-    MHDState,
     ModelSpec,
-    VorticityState,
     get_model,
     make_drift,
     make_ito_correction,
     make_noise_op,
     spectral_path,
 )
-from .em_fields import EMState
 from .errors import NumericalError
-from .grid import GridSpec, VectorField, _curl_inv_arr
+from .grid import GridSpec, _curl_inv_arr
 from .integrators import check_finite, euler_maruyama_step, heun_stratonovich_step, rk4_step
 from .noise import NoiseModel, WienerDriver
 from .outputs import (
@@ -60,24 +57,6 @@ class EnsembleResult:
     output_dir: Path | None
 
 
-def state_to_arrays(state) -> tuple[np.ndarray, ...]:
-    if isinstance(state, EMState):
-        return (state.D.values, state.B.values)
-    if isinstance(state, MHDState):
-        return (state.P.values, state.B.values)
-    if isinstance(state, VorticityState):
-        return (state.w.values,)
-    raise TypeError(type(state))
-
-
-def arrays_to_state(model: ModelSpec, grid: GridSpec, arrs: tuple[np.ndarray, ...]):
-    if model.kind == "em":
-        return EMState(VectorField(grid, arrs[0]), VectorField(grid, arrs[1]))
-    if model.kind == "mhd":
-        return MHDState(VectorField(grid, arrs[0]), VectorField(grid, arrs[1]))
-    return VorticityState(VectorField(grid, arrs[0]))
-
-
 def _field_names(model: ModelSpec) -> tuple[str, ...]:
     return {"em": ("D", "B"), "mhd": ("P", "B"), "vorticity": ("w",)}[model.kind]
 
@@ -85,7 +64,7 @@ def _field_names(model: ModelSpec) -> tuple[str, ...]:
 def initial_arrays(config: RunConfig) -> tuple[np.ndarray, ...]:
     model = get_model(config.model)
     ic = config.initial
-    state = build_initial_state(
+    return build_initial_state(
         model.kind,
         config.grid,
         ic.preset,
@@ -95,7 +74,6 @@ def initial_arrays(config: RunConfig) -> tuple[np.ndarray, ...]:
         ic.k,
         ic.momentum_amplitude,
     )
-    return state_to_arrays(state)
 
 
 def _check_cfl(config: RunConfig, model: ModelSpec, arrs) -> None:
@@ -149,6 +127,7 @@ def run_member(
     config: RunConfig,
     member: int,
     out_dir: Path | None = None,
+    noise: NoiseModel | None = None,
     start_step: int = 0,
     start_arrays: tuple[np.ndarray, ...] | None = None,
     csv_prefix: str | None = None,
@@ -158,10 +137,13 @@ def run_member(
     On the spectral path the state stays as rfft spectra between steps; the
     physical arrays are made only for samples, snapshots, checkpoints and
     the result, and a checkpoint step re-derives the spectra from the arrays
-    it wrote, so a resumed run continues from exactly the same state."""
+    it wrote, so a resumed run continues from exactly the same state. noise
+    is config.build_noise(), built here unless the ensemble passes the one
+    it shares among its members."""
     grid = config.grid
     model = get_model(config.model)
-    noise = config.build_noise()
+    if noise is None:
+        noise = config.build_noise()
     dt = config.integrator.dt
     n_steps = config.integrator.n_steps
     spectral = spectral_path(model, noise)
@@ -187,8 +169,7 @@ def run_member(
         member_dir.mkdir(parents=True, exist_ok=True)
 
     def sample(step: int) -> None:
-        state = arrays_to_state(model, grid, arrs)
-        rec = collect_record(state, config.model, time=step * dt)
+        rec = collect_record(model, grid, arrs, time=step * dt)
         records.append(rec)
         csv_lines.append(",".join(rec.csv_row()))
 
@@ -297,8 +278,9 @@ def run_ensemble(config: RunConfig, output_root: str | Path | None = None) -> En
         out_dir = root / config.output.directory
         out_dir.mkdir(parents=True, exist_ok=True)
 
+    noise = config.build_noise()
     members = [
-        run_member(config, m, out_dir) for m in range(config.ensemble.members)
+        run_member(config, m, out_dir, noise) for m in range(config.ensemble.members)
     ]
 
     if out_dir is not None:

@@ -28,9 +28,10 @@ from .diagnostics import (
 )
 from .dynamics import get_model, make_drift, make_noise_op
 from .em_fields import (
-    EMState,
+    bi_closure,
     bi_density,
-    bi_variational_derivatives,
+    hydro_force,
+    hydro_variables,
     momentum_map_pairing,
 )
 from .errors import ConfigError
@@ -38,7 +39,6 @@ from .grid import (
     GridSpec,
     ScalarField,
     VectorField,
-    _curl_arr,
     _grad_vector_arr,
     curl,
     grad,
@@ -130,8 +130,7 @@ def suite_variational_derivatives(grid_n: int = 8, **_) -> SuiteReport:
     grid = GridSpec(grid_n, grid_n, grid_n)
     D = _band_limited(grid, seed=111, kmax=2, amplitude=0.4, divfree=True)
     B = _band_limited(grid, seed=112, kmax=2, amplitude=0.4, divfree=True)
-    state = EMState(D, B)
-    E, H = bi_variational_derivatives(state)
+    _, _, E, H = bi_closure(D.values, B.values)
     eps = 1e-6
 
     def functional(Dv, Bv):
@@ -140,8 +139,8 @@ def suite_variational_derivatives(grid_n: int = 8, **_) -> SuiteReport:
 
     worst = {"E": 0.0, "H": 0.0}
     for label, base, other, deriv, d_first in (
-        ("E", D.values, B.values, E.values, True),
-        ("H", B.values, D.values, H.values, False),
+        ("E", D.values, B.values, E, True),
+        ("H", B.values, D.values, H, False),
     ):
         scale = float(np.max(np.abs(deriv)))
         for c in range(3):
@@ -499,11 +498,13 @@ def suite_hamiltonian_structure(grid_n: int = 16, **_) -> SuiteReport:
     rep.check("bracket-harmonic-pair", abs(blhs2 - brhs2) / max(abs(blhs2), 1e-14), 1e-8)
 
     big = GridSpec(32, 32, 32)
-    s = EMState(
-        _band_limited(big, seed=145, kmax=2, amplitude=0.3, divfree=True),
-        _band_limited(big, seed=146, kmax=2, amplitude=0.3, divfree=True),
+    D_big = _band_limited(big, seed=145, kmax=2, amplitude=0.3, divfree=True)
+    B_big = _band_limited(big, seed=146, kmax=2, amplitude=0.3, divfree=True)
+    rep.check(
+        "momentum-equation-residual",
+        km_bracket_residual(big, D_big.values, B_big.values),
+        1e-6,
     )
-    rep.check("momentum-equation-residual", km_bracket_residual(s), 1e-6)
     return rep
 
 
@@ -534,13 +535,8 @@ def _kelvin_residual(grid_n: int, n_steps: int, n_loop: int, stochastic: bool = 
 
     def fields_of(arrs):
         Hd, P = bi_density(*arrs)
-        gam, bet = arrs[0] / Hd, arrs[1] / Hd
-        force = VectorField(
-            grid,
-            np.cross(gam, _curl_arr(grid, gam), axis=0)
-            + np.cross(bet, _curl_arr(grid, bet), axis=0),
-        )
-        return VectorField(grid, P / Hd), force
+        v, gam, bet = hydro_variables(*arrs, Hd, P)
+        return VectorField(grid, v), VectorField(grid, hydro_force(grid, gam, bet))
 
     v, force = fields_of(arrs)
     circ0 = loop_circulation(loop, v)

@@ -98,6 +98,31 @@ class TestConfigParsing:
             load_config(write_config(tmp_path, bad))
 
     @pytest.mark.parametrize(
+        "model, preset, bad_lengths, good_lengths",
+        [
+            pytest.param("euler-vorticity", "taylor-green", {"Lx": 5.0}, {}, id="taylor-green"),
+            pytest.param("euler-vorticity", "abc", {"Lz": 5.0}, {}, id="abc"),
+            pytest.param(
+                "mhd", "helical-orthogonal", {"Lz": 5.0}, {"Lx": 5.0, "Ly": 4.0},
+                id="helical-orthogonal",
+            ),
+        ],
+    )
+    def test_preset_period_rejected(self, tmp_path, model, preset, bad_lengths, good_lengths):
+        # these presets' formulas have period 2*pi (helical-orthogonal's only in z)
+        data = {
+            "model": model,
+            "grid": {"nx": 8, "ny": 8, "nz": 8, **bad_lengths},
+            "initial": {"preset": preset},
+        }
+        with pytest.raises(ConfigError, match="2\\*pi"):
+            parse_config(data)
+        cfg_path = write_config(tmp_path, data)
+        assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)]) == 2
+        data["grid"] = {"nx": 8, "ny": 8, "nz": 8, **good_lengths}
+        parse_config(data)
+
+    @pytest.mark.parametrize(
         "path, value",
         [
             pytest.param(("grid", "nx"), 16.7, id="nx-float"),

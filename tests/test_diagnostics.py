@@ -23,13 +23,14 @@ from sabi.diagnostics import (
     total_momentum,
     vorticity_transport_residual,
 )
-from sabi.dynamics import MHDState, VorticityState
-from sabi.em_fields import EMState
+from sabi.config import parse_config
+from sabi.dynamics import _MODELS, get_model
 from sabi.errors import ConstraintError, NumericalError
 from sabi.grid import GridSpec, VectorField, curl, curl_inv, grad
 from sabi.noise import NoiseModel, make_constant_mode
+from sabi.runner import initial_arrays
 
-from test_dynamics import em_state, helical_orthogonal_state
+from test_dynamics import em_state, helical_orthogonal_state, zeros
 from test_grid import random_band_limited
 
 TWO_PI = 2.0 * np.pi
@@ -43,27 +44,27 @@ def grid():
 
 class TestIntegrals:
     def test_vacuum_energy(self, grid):
-        assert total_energy(EMState.zeros(grid), "bi") == pytest.approx(VOL, rel=1e-13)
+        vacuum = (zeros(grid), zeros(grid))
+        assert total_energy(get_model("bi"), grid, vacuum) == pytest.approx(VOL, rel=1e-13)
 
     def test_uniform_crossed_fields(self, grid):
         vals_d = np.zeros((3, *grid.shape))
         vals_b = np.zeros((3, *grid.shape))
         vals_d[0] = 1.0
         vals_b[1] = 1.0
-        s = EMState(VectorField(grid, vals_d), VectorField(grid, vals_b))
-        assert total_energy(s, "bi") == pytest.approx(2 * VOL, rel=1e-13)
-        mom = total_momentum(s)
+        s = (vals_d, vals_b)
+        assert total_energy(get_model("bi"), grid, s) == pytest.approx(2 * VOL, rel=1e-13)
+        mom = total_momentum(get_model("bi"), grid, s)
         assert np.allclose(mom, [0.0, 0.0, VOL], atol=1e-10)
 
     def test_zero_mhd_state_rejected(self, grid):
-        zero = VectorField.zeros(grid)
         with pytest.raises(NumericalError):
-            total_energy(MHDState(zero, zero), "mhd")
+            total_energy(get_model("mhd"), grid, (zeros(grid), zeros(grid)))
 
     def test_mhd_momentum(self, grid):
         s = helical_orthogonal_state(grid, seed=1)
-        mom = total_momentum(s)
-        expected = s.P.values.mean(axis=(1, 2, 3)) * VOL
+        mom = total_momentum(get_model("mhd"), grid, s)
+        expected = s[0].mean(axis=(1, 2, 3)) * VOL
         assert np.allclose(mom, expected)
 
 
@@ -191,24 +192,23 @@ class TestBracketChecks:
         assert abs(lhs) > 1e-6  # the check is not vacuous
 
     def test_km_residual_degenerate_states(self, grid):
-        assert km_bracket_residual(EMState.zeros(grid)) == 0.0
+        assert km_bracket_residual(grid, zeros(grid), zeros(grid)) == 0.0
         vals_d = np.zeros((3, *grid.shape))
         vals_b = np.zeros((3, *grid.shape))
         vals_d[0], vals_b[1] = 0.8, 0.6
-        s = EMState(VectorField(grid, vals_d), VectorField(grid, vals_b))
-        assert km_bracket_residual(s) == 0.0
+        assert km_bracket_residual(grid, vals_d, vals_b) == 0.0
 
     def test_km_residual_smooth_state(self):
         g = GridSpec(32, 32, 32)
         s = em_state(g, seed=14, amplitude=0.3)
-        assert km_bracket_residual(s) < 1e-6
+        assert km_bracket_residual(g, *s) < 1e-6
 
     def test_vorticity_residual_resolves_spectrally(self):
         vals = []
         for n in (16, 32):
             g = GridSpec(n, n, n)
             s = em_state(g, seed=15, amplitude=0.25)
-            vals.append(vorticity_transport_residual(s))
+            vals.append(vorticity_transport_residual(get_model("bi"), g, *s))
         assert vals[1] < 1e-5
         assert vals[1] < vals[0] / 50.0
 
@@ -258,7 +258,7 @@ class TestVorticityKelvin:
         drifts = []
         for n_steps, n_loop in ((20, 128), (40, 256)):
             dt = 0.2 / n_steps
-            arrs = (taylor_green(grid, amplitude=1.0).w.values.copy(),)
+            arrs = (taylor_green(grid, amplitude=1.0)[0].copy(),)
             u = VectorField(grid, _curl_inv_arr(grid, arrs[0]))
             loop = TracerLoop.circle((np.pi / 2, np.pi / 2, 1.0), 0.8, n_loop)
             c0 = loop_circulation(loop, u)
@@ -282,22 +282,53 @@ class TestRecords:
 
     def test_collect_em(self, grid):
         s = em_state(grid, seed=16, amplitude=0.3)
-        rec = collect_record(s, "bi", time=0.5)
+        rec = collect_record(get_model("bi"), grid, s, time=0.5)
         assert rec.div_d is not None and rec.div_d < 1e-10
         assert rec.helicity is None
         assert len(rec.csv_row()) == len(DiagnosticsRecord.CSV_COLUMNS)
 
     def test_collect_mhd(self, grid):
         s = helical_orthogonal_state(grid, seed=17)
-        rec = collect_record(s, "mhd", time=0.0)
+        rec = collect_record(get_model("mhd"), grid, s, time=0.0)
         assert rec.pb_orth is not None and rec.pb_orth < 1e-12
         assert rec.helicity is not None
 
     def test_collect_vorticity(self, grid):
         w = random_band_limited(grid, seed=18, kmax=2, divfree=True)
-        rec = collect_record(VorticityState(w), "euler-vorticity", time=0.0)
+        rec = collect_record(get_model("euler-vorticity"), grid, (w.values,), time=0.0)
         assert rec.energy > 0.0
 
     def test_pb_orthogonality_exact_at_start(self, grid):
         s = helical_orthogonal_state(grid, seed=19)
-        assert pb_orthogonality(s) < 1e-13
+        assert pb_orthogonality(*s) < 1e-13
+
+
+# the columns each model kind defines beyond time, energy and momentum
+KIND_COLUMNS = {
+    "em": {"div_d", "div_b"},
+    "mhd": {"div_b", "helicity", "pb_orth"},
+    "vorticity": {"div_b"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MODELS))
+def test_collect_record_dispatches_on_model(name):
+    model = get_model(name)
+    data = {"model": name, "grid": {"nx": 8, "ny": 8, "nz": 8}, "initial": {"seed": 1}}
+    if model.calculus is not None or model.expectation:
+        data["noise"] = {"modes": [{"type": "constant", "a": [0.1, 0.0, 0.0]}]}
+    cfg = parse_config(data)
+    arrs = initial_arrays(cfg)
+    rec = collect_record(model, cfg.grid, arrs, time=0.0)
+    defined = {c for c, v in zip(DiagnosticsRecord.CSV_COLUMNS, rec.row()) if v is not None}
+    base = {"time", "energy", "momentum_x", "momentum_y", "momentum_z"}
+    assert defined == base | KIND_COLUMNS[model.kind]
+    if model.kind == "em":
+        # every em model starts from the same (D, B); the closure picks the energy
+        D, B = arrs
+        P = np.cross(D, B, axis=0)
+        bi = float(np.mean(np.sqrt(1.0 + np.sum(D * D + B * B + P * P, axis=0)))) * VOL
+        maxwell = 0.5 * float(np.mean(np.sum(D * D + B * B, axis=0))) * VOL
+        expected = bi if name.startswith("bi") else maxwell
+        assert rec.energy == pytest.approx(expected, rel=1e-12)
+        assert abs(bi - maxwell) > 0.5 * VOL

@@ -1,4 +1,4 @@
-"""Energy density, variational derivatives and momentum-map tests.
+"""BI closure, hydrodynamic-variable and momentum-map tests on (D, B) arrays.
 
 The finite-difference oracle perturbs single samples of the discrete energy
 functional sum(H) * cell_volume and compares against the closed-form
@@ -8,18 +8,10 @@ derivatives; hand values come from uniform-field arithmetic.
 import numpy as np
 import pytest
 
-from sabi.em_fields import (
-    EMState,
-    bi_energy_density,
-    bi_variational_derivatives,
-    hydro_vars,
-    maxwell_variational_derivatives,
-    momentum_map_pairing,
-    poynting,
-    poynting_general,
-)
+from sabi.dynamics import get_model, make_drift
+from sabi.em_fields import bi_closure, bi_density, hydro_variables, momentum_map_pairing
 from sabi.errors import ConstraintError
-from sabi.grid import GridSpec, ScalarField, VectorField, grad, integrate
+from sabi.grid import GridSpec, ScalarField, VectorField, _curl_arr, grad, integrate
 
 from test_grid import random_band_limited
 
@@ -32,15 +24,17 @@ def uniform_state(grid, d, b):
     for i in range(3):
         D[i] = d[i]
         B[i] = b[i]
-    return EMState(VectorField(grid, D), VectorField(grid, B))
+    return D, B
+
+
+def zero_state(grid):
+    return np.zeros((3, *grid.shape)), np.zeros((3, *grid.shape))
 
 
 def random_state(grid, seed, amplitude, kmax=3):
     D = random_band_limited(grid, seed=seed, kmax=kmax, divfree=True)
     B = random_band_limited(grid, seed=seed + 1000, kmax=kmax, divfree=True)
-    return EMState(
-        VectorField(grid, amplitude * D.values), VectorField(grid, amplitude * B.values)
-    )
+    return amplitude * D.values, amplitude * B.values
 
 
 @pytest.fixture(scope="module")
@@ -50,36 +44,32 @@ def grid8():
 
 class TestEnergyDensity:
     def test_vacuum(self, grid8):
-        s = EMState.zeros(grid8)
-        H = bi_energy_density(s)
-        assert np.max(np.abs(H.values - 1.0)) == 0.0
+        H, _ = bi_density(*zero_state(grid8))
+        assert np.max(np.abs(H - 1.0)) == 0.0
 
     def test_uniform_crossed_fields(self, grid8):
-        s = uniform_state(grid8, (1, 0, 0), (0, 1, 0))
-        H = bi_energy_density(s)
+        H, _ = bi_density(*uniform_state(grid8, (1, 0, 0), (0, 1, 0)))
         # 1 + 1 + 1 + 1 under the root
-        assert np.max(np.abs(H.values - 2.0)) < 1e-14
+        assert np.max(np.abs(H - 2.0)) < 1e-14
 
     @pytest.mark.parametrize("amp", [1e-2, 1e-3])
     def test_weak_field_series(self, grid8, amp):
-        s = random_state(grid8, seed=1, amplitude=amp)
-        H = bi_energy_density(s).values
-        quad = 1.0 + 0.5 * np.sum(s.D.values**2 + s.B.values**2, axis=0)
+        D, B = random_state(grid8, seed=1, amplitude=amp)
+        H, _ = bi_density(D, B)
+        quad = 1.0 + 0.5 * np.sum(D**2 + B**2, axis=0)
         assert np.max(np.abs(H - quad)) < 2.0 * amp**4
 
     def test_lower_bound(self, grid8):
-        s = random_state(grid8, seed=2, amplitude=0.7)
-        H = bi_energy_density(s).values
-        D, B = s.D.values, s.B.values
+        D, B = random_state(grid8, seed=2, amplitude=0.7)
+        H, _ = bi_density(D, B)
         P = np.cross(D, B, axis=0)
         for F in (D, B, P):
             assert np.all(H >= np.sqrt(np.sum(F * F, axis=0)))
         assert np.all(H >= 1.0)
 
     def test_pointwise_identity(self, grid8):
-        s = random_state(grid8, seed=3, amplitude=0.5)
-        H = bi_energy_density(s).values
-        D, B = s.D.values, s.B.values
+        D, B = random_state(grid8, seed=3, amplitude=0.5)
+        H, _ = bi_density(D, B)
         P = np.cross(D, B, axis=0)
         lhs = np.sum(P * P + D * D + B * B, axis=0) + 1.0
         assert np.max(np.abs(lhs - H * H)) < 1e-12 * np.max(H * H)
@@ -87,122 +77,108 @@ class TestEnergyDensity:
 
 class TestVariationalDerivatives:
     def test_zero_state(self, grid8):
-        E, H = bi_variational_derivatives(EMState.zeros(grid8))
-        assert E.max_norm() == 0.0
-        assert H.max_norm() == 0.0
+        _, _, E, H = bi_closure(*zero_state(grid8))
+        assert VectorField(grid8, E).max_norm() == 0.0
+        assert VectorField(grid8, H).max_norm() == 0.0
 
     def test_uniform_hand_value(self, grid8):
         # P=(0,0,1), BxP=(1,0,0), DxP=(0,-1,0), H=2
-        s = uniform_state(grid8, (1, 0, 0), (0, 1, 0))
-        E, H = bi_variational_derivatives(s)
-        assert np.max(np.abs(E.values - np.array([1.0, 0, 0])[:, None, None, None])) < 1e-14
-        assert np.max(np.abs(H.values - np.array([0, 1.0, 0])[:, None, None, None])) < 1e-14
+        _, _, E, H = bi_closure(*uniform_state(grid8, (1, 0, 0), (0, 1, 0)))
+        assert np.max(np.abs(E - np.array([1.0, 0, 0])[:, None, None, None])) < 1e-14
+        assert np.max(np.abs(H - np.array([0, 1.0, 0])[:, None, None, None])) < 1e-14
 
     def test_finite_difference_oracle(self, grid8):
-        s = random_state(grid8, seed=4, amplitude=0.4)
-        E, H = bi_variational_derivatives(s)
+        D, B = random_state(grid8, seed=4, amplitude=0.4)
+        _, _, E, H = bi_closure(D, B)
         vol = grid8.cell_volume
         rng = np.random.default_rng(5)
         eps = 1e-6
 
         def functional(D, B):
-            s2 = EMState(VectorField(grid8, D), VectorField(grid8, B))
-            return float(np.sum(bi_energy_density(s2).values)) * vol
+            return float(np.sum(bi_density(D, B)[0])) * vol
 
-        scales = {id(E.values): E.max_norm(), id(H.values): H.max_norm()}
+        scales = {
+            id(E): VectorField(grid8, E).max_norm(),
+            id(H): VectorField(grid8, H).max_norm(),
+        }
         for _ in range(40):
             c = rng.integers(0, 3)
             idx = tuple(rng.integers(0, n) for n in grid8.shape)
-            for base, deriv in ((s.D.values, E.values), (s.B.values, H.values)):
+            for base, deriv in ((D, E), (B, H)):
                 plus = base.copy()
                 minus = base.copy()
                 plus[(c, *idx)] += eps
                 minus[(c, *idx)] -= eps
-                if base is s.D.values:
-                    fd = (functional(plus, s.B.values) - functional(minus, s.B.values)) / (2 * eps)
+                if base is D:
+                    fd = (functional(plus, B) - functional(minus, B)) / (2 * eps)
                 else:
-                    fd = (functional(s.D.values, plus) - functional(s.D.values, minus)) / (2 * eps)
+                    fd = (functional(D, plus) - functional(D, minus)) / (2 * eps)
                 got = deriv[(c, *idx)]
                 assert abs(fd / vol - got) < 1e-6 * scales[id(deriv)]
 
     def test_maxwell_identity_map(self, grid8):
-        s = random_state(grid8, seed=6, amplitude=0.5)
-        E, H = maxwell_variational_derivatives(s)
-        assert E is s.D
-        assert H is s.B
+        # the weak-field closure is E = D, H = B verbatim, so the Maxwell
+        # drift is exactly (curl B, -curl D)
+        D, B = random_state(grid8, seed=6, amplitude=0.5)
+        dD, dB = make_drift(get_model("maxwell"), grid8)((D, B))
+        assert np.array_equal(dD, _curl_arr(grid8, B))
+        assert np.array_equal(dB, -_curl_arr(grid8, D))
 
     def test_weak_field_agreement(self, grid8):
-        s = random_state(grid8, seed=7, amplitude=1e-3)
-        E, H = bi_variational_derivatives(s)
-        scale = max(s.D.max_norm(), s.B.max_norm())
-        assert np.max(np.abs(E.values - s.D.values)) < 1e-5 * scale
-        assert np.max(np.abs(H.values - s.B.values)) < 1e-5 * scale
+        D, B = random_state(grid8, seed=7, amplitude=1e-3)
+        _, _, E, H = bi_closure(D, B)
+        scale = max(VectorField(grid8, D).max_norm(), VectorField(grid8, B).max_norm())
+        assert np.max(np.abs(E - D)) < 1e-5 * scale
+        assert np.max(np.abs(H - B)) < 1e-5 * scale
 
 
 class TestPoynting:
+    """P = D x B, the momentum density that bi_density returns."""
+
     def test_uniform(self, grid8):
-        s = uniform_state(grid8, (1, 0, 0), (0, 1, 0))
-        P = poynting(s)
-        assert np.max(np.abs(P.values - np.array([0, 0, 1.0])[:, None, None, None])) < 1e-14
+        _, P = bi_density(*uniform_state(grid8, (1, 0, 0), (0, 1, 0)))
+        assert np.max(np.abs(P - np.array([0, 0, 1.0])[:, None, None, None])) < 1e-14
 
     def test_parallel_fields_vanish(self, grid8):
         X, _, _ = grid8.meshgrid()
-        D = VectorField(grid8, np.stack([np.cos(X), 0 * X, 0 * X]))
-        s = EMState(D, VectorField(grid8, 2.0 * D.values))
-        assert poynting(s).max_norm() < 1e-14
+        D = np.stack([np.cos(X), 0 * X, 0 * X])
+        _, P = bi_density(D, 2.0 * D)
+        assert VectorField(grid8, P).max_norm() < 1e-14
 
     def test_orthogonality(self, grid8):
-        s = random_state(grid8, seed=8, amplitude=0.6)
-        P = poynting(s).values
-        assert np.max(np.abs(np.sum(P * s.D.values, axis=0))) < 1e-13
-        assert np.max(np.abs(np.sum(P * s.B.values, axis=0))) < 1e-13
+        D, B = random_state(grid8, seed=8, amplitude=0.6)
+        _, P = bi_density(D, B)
+        assert np.max(np.abs(np.sum(P * D, axis=0))) < 1e-13
+        assert np.max(np.abs(np.sum(P * B, axis=0))) < 1e-13
 
     def test_eh_form_agrees(self, grid8):
-        s = random_state(grid8, seed=9, amplitude=0.6)
-        poynting(s, verify_eh=True, tol=1e-9)
-
-    def test_poynting_general_reduces(self, grid8):
-        s = random_state(grid8, seed=10, amplitude=0.5)
-        P1 = poynting(s).values
-        P2 = poynting_general(s.D, s.B, random_band_limited(grid8, 11, 3)).values
-        assert np.max(np.abs(P1 - P2)) < 1e-12
-
-    def test_poynting_general_gradient_source(self, grid8):
-        X, _, _ = grid8.meshgrid()
-        f = ScalarField(grid8, np.sin(X))
-        D = grad(f)
-        B = VectorField.zeros(grid8)
-        A = VectorField(grid8, np.stack([0 * X, np.ones_like(X), 0 * X]))
-        # -A laplacian(f) = -(0,1,0)(-sin x) = (0, sin x, 0)
-        out = poynting_general(D, B, A)
-        expected = np.stack([0 * X, np.sin(X), 0 * X])
-        assert np.max(np.abs(out.values - expected)) < 1e-12
-
-    def test_poynting_general_zeros(self, grid8):
-        z = VectorField.zeros(grid8)
-        assert poynting_general(z, z, z).max_norm() == 0.0
+        # D x B = E x H through the closure's variational derivatives
+        _, P, E, H = bi_closure(*random_state(grid8, seed=9, amplitude=0.6))
+        alt = np.cross(E, H, axis=0)
+        scale = max(float(np.max(np.abs(P))), 1e-30)
+        assert float(np.max(np.abs(P - alt))) / scale <= 1e-9
 
 
 class TestHydroVars:
     def test_vacuum(self, grid8):
-        hv = hydro_vars(EMState.zeros(grid8))
-        assert np.max(np.abs(hv.Hd.values - 1.0)) == 0.0
-        assert hv.v.max_norm() == 0.0
+        D, B = zero_state(grid8)
+        Hd, P = bi_density(D, B)
+        v, _, _ = hydro_variables(D, B, Hd, P)
+        assert np.max(np.abs(Hd - 1.0)) == 0.0
+        assert VectorField(grid8, v).max_norm() == 0.0
 
     def test_uniform_hand_values(self, grid8):
-        s = uniform_state(grid8, (1, 0, 0), (0, 1, 0))
-        hv = hydro_vars(s)
-        assert np.max(np.abs(hv.v.values - np.array([0, 0, 0.5])[:, None, None, None])) < 1e-14
-        assert np.max(np.abs(hv.gamma.values - np.array([0.5, 0, 0])[:, None, None, None])) < 1e-14
-        assert np.max(np.abs(hv.beta.values - np.array([0, 0.5, 0])[:, None, None, None])) < 1e-14
+        D, B = uniform_state(grid8, (1, 0, 0), (0, 1, 0))
+        v, gamma, beta = hydro_variables(D, B, *bi_density(D, B))
+        assert np.max(np.abs(v - np.array([0, 0, 0.5])[:, None, None, None])) < 1e-14
+        assert np.max(np.abs(gamma - np.array([0.5, 0, 0])[:, None, None, None])) < 1e-14
+        assert np.max(np.abs(beta - np.array([0, 0.5, 0])[:, None, None, None])) < 1e-14
 
     def test_normalization_identity(self, grid8):
-        s = random_state(grid8, seed=12, amplitude=0.5)
-        hv = hydro_vars(s)
-        total = (
-            np.sum(hv.v.values**2 + hv.gamma.values**2 + hv.beta.values**2, axis=0)
-            + hv.Hd.values**-2
-        )
+        D, B = random_state(grid8, seed=12, amplitude=0.5)
+        Hd, P = bi_density(D, B)
+        v, gamma, beta = hydro_variables(D, B, Hd, P)
+        total = np.sum(v**2 + gamma**2 + beta**2, axis=0) + Hd**-2
         assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
@@ -236,12 +212,6 @@ class TestMomentumMapPairing:
 
 
 class TestEMState:
-    def test_validation_rejects_divergent(self, grid8):
-        f = random_band_limited(grid8, seed=23, kmax=2, vector=False)
-        s = EMState(grad(f), VectorField.zeros(grid8))
-        with pytest.raises(ConstraintError):
-            s.validate()
-
     def test_vacuum_energy_volume(self, grid8):
-        H = bi_energy_density(EMState.zeros(grid8))
-        assert integrate(H) == pytest.approx(TWO_PI**3, rel=1e-13)
+        H, _ = bi_density(*zero_state(grid8))
+        assert integrate(ScalarField(grid8, H)) == pytest.approx(TWO_PI**3, rel=1e-13)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from sabi.dynamics import get_model, make_drift, make_ito_correction, make_noise_op
-from sabi.em_fields import EMState
 from sabi.errors import ConfigError, NumericalError
 from sabi.grid import GridSpec, VectorField
 from sabi.integrators import (
@@ -196,12 +195,10 @@ class TestGuards:
 
     def test_divergence_preserved_through_steps(self):
         grid = GridSpec(16, 16, 16)
-        s = EMState(
-            random_band_limited(grid, seed=6, kmax=2, divfree=True),
-            random_band_limited(grid, seed=7, kmax=2, divfree=True),
-        )
+        D = random_band_limited(grid, seed=6, kmax=2, divfree=True)
+        B = random_band_limited(grid, seed=7, kmax=2, divfree=True)
         drift = make_drift(get_model("bi"), grid)
-        state = (0.4 * s.D.values, 0.4 * s.B.values)
+        state = (0.4 * D.values, 0.4 * B.values)
         for _ in range(20):
             state = rk4_step(state, drift, 1e-2)
         from sabi.grid import max_div
