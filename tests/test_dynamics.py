@@ -18,7 +18,7 @@ from sabi.dynamics import (
     mhd_density,
 )
 from sabi.errors import ConstraintError, NumericalError
-from sabi.grid import GridSpec, VectorField, laplacian, lie2form, max_div
+from sabi.grid import GridSpec, VectorField, curl, curl_inv, laplacian, lie2form, max_div
 from sabi.noise import NoiseModel, make_constant_mode, make_divfree_mode
 
 from test_grid import random_band_limited
@@ -177,6 +177,19 @@ class TestExpectationRHS:
 
 
 class TestVorticity:
+    def test_mean_mode_rejected(self, grid):
+        # a vorticity with a uniform w_z is not the curl of any periodic
+        # velocity: recovering u = curl^-1 w must refuse it, and accept the
+        # same field once the mean is gone
+        w = random_band_limited(grid, seed=11, kmax=2, divfree=True).values
+        w = w - w.mean(axis=(1, 2, 3), keepdims=True)
+        with_mean = w.copy()
+        with_mean[2] += 1.0
+        with pytest.raises(ConstraintError):
+            curl_inv(VectorField(grid, with_mean))
+        u = curl_inv(VectorField(grid, w))
+        assert np.max(np.abs(curl(u).values - w)) < 1e-10
+
     def test_beltrami_is_stationary(self, grid):
         # the unit-amplitude swirl field is a curl eigenfield, so u = w and
         # u x w = 0: the deterministic rhs must vanish
