@@ -12,6 +12,7 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 from .dynamics import ModelSpec, get_model
@@ -129,18 +130,32 @@ class RunConfig:
     def sha256(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
-    def build_noise(self) -> NoiseModel:
-        g = self.grid
-        modes: list[VectorField] = []
-        for i, m in enumerate(self.noise_modes):
-            try:
-                if m.type == "constant":
-                    modes.append(make_constant_mode(g, m.a, m.amplitude))
-                else:
-                    modes.append(make_divfree_mode(g, m.k, m.a, m.phase, m.amplitude))
-            except Exception as exc:
-                raise ConfigError(f"noise.modes[{i}]: {exc}") from exc
-        return NoiseModel.from_modes(g, modes)
+    @property
+    def noise(self) -> NoiseModel:
+        """The noise model of the modes, shared by every config with the same
+        grid and modes (a run, its resume, its expectation solve)."""
+        modes_json = json.dumps([m.to_dict() for m in self.noise_modes])
+        return _noise_model(self.grid, self.noise_modes, modes_json)
+
+
+@lru_cache(maxsize=1)
+def _noise_model(
+    grid: GridSpec, modes: tuple[NoiseModeConfig, ...], modes_json: str
+) -> NoiseModel:
+    """Builds a noise model (one forward and one inverse transform per mode)
+    and keeps the last one with its lazily cached stacks and gradients.
+    modes_json is in the key because equal modes may still differ in the
+    sign of a zero."""
+    built: list[VectorField] = []
+    for i, m in enumerate(modes):
+        try:
+            if m.type == "constant":
+                built.append(make_constant_mode(grid, m.a, m.amplitude))
+            else:
+                built.append(make_divfree_mode(grid, m.k, m.a, m.phase, m.amplitude))
+        except Exception as exc:
+            raise ConfigError(f"noise.modes[{i}]: {exc}") from exc
+    return NoiseModel.from_modes(grid, built)
 
 
 def _parse_grid(data: dict) -> GridSpec:
@@ -309,7 +324,7 @@ def parse_config(data: dict) -> RunConfig:
         ensemble=ensemble,
         output=output,
     )
-    config.build_noise()  # surfaces divergence-free violations at load time
+    config.noise  # builds the noise model: bad modes fail at load time
     return config
 
 

@@ -330,11 +330,12 @@ def collect_record(
     grid: GridSpec,
     arrs: Arrays,
     time: float,
+    u: np.ndarray | None = None,
 ) -> DiagnosticsRecord:
     """One diagnostics sample of the model's state arrays ((D, B), (P, B) or
-    (w,)); the vorticity velocity u = curl^-1 w is computed once and shared
-    by the energy and the momentum."""
-    u = None
+    (w,)); the vorticity velocity u = curl^-1 w is computed once, here
+    unless the caller already has it, and shared by the energy and the
+    momentum."""
     if model.kind == "em":
         checks = {
             "div_d": max_div(VectorField(grid, arrs[0])),
@@ -349,7 +350,8 @@ def collect_record(
         }
     else:
         checks = {"div_b": max_div(VectorField(grid, arrs[0]))}
-        u = _curl_inv_arr(grid, arrs[0])
+        if u is None:
+            u = _curl_inv_arr(grid, arrs[0])
     rec = DiagnosticsRecord(
         time=time,
         energy=total_energy(model, grid, arrs, u),

@@ -3,11 +3,22 @@ Maxwell, their Stratonovich/Ito stochastic versions, the expectation PDE of
 the weak-field limit, stochastic Euler vorticity, and the high-field
 pressureless-MHD limit.
 
-Stochastic transport enters every system the same way: the increment over a
-step is the Lie derivative of the state along xi_eff = sum_i xi_i dW_i (the
-transport is linear in xi, so the modes collapse into one effective field).
-The Ito corrections are the only per-mode quadratic terms; spatially uniform
-modes get an exact spectral fast path there.
+Stochastic transport enters every system the same way: pairing each noise
+field xi_i with the model's momentum map (the Poynting vector D x B, or P in
+the high-field limit) makes the increment over a step the Lie transport of
+each state component along xi_eff = sum_i xi_i dW_i, in a form set by the
+component's form degree alone (Holm 2015, Proc. R. Soc. A 471). So the
+model registry lists each kind's state components with their degrees
+(ModelSpec.components), and one transport kernel per degree (_TRANSPORT,
+-Lie_xi F) builds the noise operator and the Ito correction
+(1/2) sum_i Lie_xi_i Lie_xi_i of every model:
+
+    2-form (D, B, w)        curl(xi x F)
+    1-form density (P)      -(div(xi P) + P.grad xi), on the dealias band
+
+Spatially uniform modes a_i enter the Ito correction as one multiplier on
+the spectra, -(1/2) sum_i (k.a_i)^2, and the expectation PDE's drift is the
+deterministic drift plus that correction.
 
 The factories make_drift, make_noise_op and make_ito_correction are the one
 dynamics path: they return closures over bare tuples of arrays, which the
@@ -40,6 +51,17 @@ from .noise import NoiseModel
 
 MHD_H_FLOOR = 1e-8
 
+TWO_FORM = "2-form"
+ONE_FORM_DENSITY = "1-form density"
+
+# The state components of each model kind, in state-tuple order:
+# (name, form degree).
+_COMPONENTS = {
+    "em": (("D", TWO_FORM), ("B", TWO_FORM)),
+    "mhd": (("P", ONE_FORM_DENSITY), ("B", TWO_FORM)),
+    "vorticity": (("w", TWO_FORM),),
+}
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -50,6 +72,11 @@ class ModelSpec:
     closure: str | None = None  # "bi" | "maxwell" for em kinds
     calculus: str | None = None  # None | "stratonovich" | "ito"
     expectation: bool = False
+
+    @property
+    def components(self) -> tuple[tuple[str, str], ...]:
+        """(name, form degree) of each state array, in state order."""
+        return _COMPONENTS[self.kind]
 
 
 _MODELS = {
@@ -106,22 +133,21 @@ def _uniform_ito_multiplier(grid: GridSpec, const: np.ndarray) -> np.ndarray:
     return -0.5 * np.sum(xk**2, axis=0)
 
 
-def _double_lie_2form(
-    grid: GridSpec, noise: NoiseModel, F: np.ndarray
+def _transport_2form(
+    grid: GridSpec, xi: np.ndarray, grad_xi: np.ndarray | None, F: np.ndarray
 ) -> np.ndarray:
-    """(1/2) sum_i Lie_xi_i(Lie_xi_i F) with a spectral fast path for the
-    spatially uniform modes (their double Lie derivative is -(xi.k)^2)."""
-    out = np.zeros_like(F)
-    const = noise.constant_vectors()
-    if len(const):
-        spec = grid.rfft(F)
-        out += grid.irfft(_uniform_ito_multiplier(grid, const) * spec)
-    for i in noise.nonconstant_indices():
-        xi = noise.xis[i].values
-        # Lie_xi Lie_xi F = T(T(F)) for the transport T = -Lie_xi
-        once = _transport_2form_arr(grid, xi, F, grid.dealias)
-        out += 0.5 * _transport_2form_arr(grid, xi, once, grid.dealias)
-    return out
+    return _transport_2form_arr(grid, xi, F, grid.dealias)
+
+
+def _transport_1form_density(
+    grid: GridSpec, xi: np.ndarray, grad_xi: np.ndarray, P: np.ndarray
+) -> np.ndarray:
+    return -_maybe_truncate(grid, _lie_1form_density_arr(grid, xi, grad_xi, P), None)
+
+
+# -Lie_xi F by form degree, as kernel(grid, xi, grad_xi, F); grad_xi (layout
+# [k, j] = d_k xi^j) is read by the 1-form density only.
+_TRANSPORT = {TWO_FORM: _transport_2form, ONE_FORM_DENSITY: _transport_1form_density}
 
 
 def mhd_density(P: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -162,22 +188,24 @@ def _vorticity_drift_arrays(grid: GridSpec, w: np.ndarray) -> np.ndarray:
 Arrays = tuple[np.ndarray, ...]
 
 
-def spectral_path(model: ModelSpec, noise: NoiseModel) -> bool:
+def spectral_path(model: ModelSpec, noise: NoiseModel | None) -> bool:
     """True when every term of the model is diagonal per wavevector: the
     linear Maxwell family with uniform noise modes only (or none). The
     spectral closures then match the generic ones to round-off on states
     without content on the Nyquist planes, where the generic path's inverse
     transforms drop the imaginary part of every odd derivative."""
-    return model.closure == "maxwell" and all(noise.constant_flags)
+    return model.closure == "maxwell" and (noise is None or all(noise.constant_flags))
 
 
-def _require_spectral(model: ModelSpec, noise: NoiseModel | None) -> None:
-    if model.closure != "maxwell" or (
-        noise is not None and not all(noise.constant_flags)
-    ):
-        raise ConstraintError(
-            f"model {model.name!r} with this noise has no transform-free spectral form"
-        )
+def _no_spectral_form(model: ModelSpec) -> ConstraintError:
+    return ConstraintError(
+        f"model {model.name!r} with this noise has no transform-free spectral form"
+    )
+
+
+def sum_drifts(f: Callable[[Arrays], Arrays], c: Callable[[Arrays], Arrays]):
+    """The drift state -> f(state) + c(state), componentwise."""
+    return lambda state: tuple(a + b for a, b in zip(f(state), c(state)))
 
 
 def make_drift(
@@ -187,64 +215,49 @@ def make_drift(
     hmin: float = MHD_H_FLOOR,
     spectral: bool = False,
 ) -> Callable[[Arrays], Arrays]:
+    """Returns f(state) -> deterministic drift; for the expectation PDE that
+    drift plus the Ito correction of its noise."""
     if model.expectation and noise is None:
         raise ConstraintError("maxwell-expectation requires a noise model")
     if spectral:
-        _require_spectral(model, noise)
-        mult = (
-            _uniform_ito_multiplier(grid, noise.constant_vectors())
-            if model.expectation and noise.n_modes
-            else None
-        )
+        if not spectral_path(model, noise):
+            raise _no_spectral_form(model)
 
         def f(specs: Arrays) -> Arrays:
             D, B = specs
-            dD, dB = _curl_spec(grid, B), -_curl_spec(grid, D)
-            if mult is not None:
-                dD += mult * D
-                dB += mult * B
-            return dD, dB
+            return _curl_spec(grid, B), -_curl_spec(grid, D)
 
-        return f
-    if model.expectation:
-
-        def f(arrs: Arrays) -> Arrays:
-            D, B = arrs
-            dD, dB = _em_drift_arrays(grid, "maxwell", D, B)
-            return (
-                dD + _double_lie_2form(grid, noise, D),
-                dB + _double_lie_2form(grid, noise, B),
-            )
-
-        return f
-    if model.kind == "em":
+    elif model.kind == "em":
 
         def f(arrs: Arrays) -> Arrays:
             return _em_drift_arrays(grid, model.closure, *arrs)
 
-        return f
-    if model.kind == "mhd":
+    elif model.kind == "mhd":
 
         def f(arrs: Arrays) -> Arrays:
             return _mhd_drift_arrays(grid, *arrs, hmin=hmin)
 
-        return f
-    if model.kind == "vorticity":
+    elif model.kind == "vorticity":
 
         def f(arrs: Arrays) -> Arrays:
             return (_vorticity_drift_arrays(grid, arrs[0]),)
 
+    else:
+        raise ConstraintError(f"no drift for model kind {model.kind!r}")
+    if not (model.expectation and noise.n_modes):
         return f
-    raise ConstraintError(f"no drift for model kind {model.kind!r}")
+    return sum_drifts(f, make_ito_correction(model, grid, noise, spectral))
 
 
 def make_noise_op(
     model: ModelSpec, grid: GridSpec, noise: NoiseModel, spectral: bool = False
 ) -> Callable[[Arrays, np.ndarray], Arrays]:
-    """Returns g(state, dW) -> transport increment along sum_i xi_i dW_i."""
+    """Returns g(state, dW) -> transport increment along sum_i xi_i dW_i, each
+    component moved by its form degree's kernel."""
 
     if spectral:
-        _require_spectral(model, noise)
+        if not spectral_path(model, noise):
+            raise _no_spectral_form(model)
         const = noise.constant_vectors()
         kx, ky, kz = grid.kx, grid.ky, grid.kz
 
@@ -266,49 +279,54 @@ def make_noise_op(
             return tuple(out)
 
         return g
-    if model.kind in ("em", "vorticity"):
+    degrees = [degree for _, degree in model.components]
+    transports = [_TRANSPORT[degree] for degree in degrees]
+    needs_grad = ONE_FORM_DENSITY in degrees
 
-        def g(arrs: Arrays, dW: np.ndarray) -> Arrays:
-            if noise.n_modes == 0:
-                return tuple(np.zeros_like(a) for a in arrs)
-            xi_eff = noise.combine(dW)
-            return tuple(_transport_2form_arr(grid, xi_eff, a, grid.dealias) for a in arrs)
+    def g(arrs: Arrays, dW: np.ndarray) -> Arrays:
+        if noise.n_modes == 0:
+            return tuple(np.zeros_like(a) for a in arrs)
+        xi_eff = noise.combine(dW)
+        grad_eff = np.tensordot(dW, noise.grad_stacked(), axes=(0, 0)) if needs_grad else None
+        return tuple(t(grid, xi_eff, grad_eff, a) for t, a in zip(transports, arrs))
 
-        return g
-    if model.kind == "mhd":
-
-        def g(arrs: Arrays, dW: np.ndarray) -> Arrays:
-            P, B = arrs
-            if noise.n_modes == 0:
-                return (np.zeros_like(P), np.zeros_like(B))
-            xi_eff = noise.combine(dW)
-            grad_eff = np.tensordot(dW, noise.grad_stacked(), axes=(0, 0))
-            dP = -_maybe_truncate(grid, _lie_1form_density_arr(grid, xi_eff, grad_eff, P), None)
-            dB = _transport_2form_arr(grid, xi_eff, B, grid.dealias)
-            return (dP, dB)
-
-        return g
-    raise ConstraintError(f"no noise operator for model kind {model.kind!r}")
+    return g
 
 
 def make_ito_correction(
     model: ModelSpec, grid: GridSpec, noise: NoiseModel, spectral: bool = False
 ) -> Callable[[Arrays], Arrays]:
+    """Returns c(state) -> (1/2) sum_i Lie_xi_i Lie_xi_i of each component:
+    the uniform modes as one spectral multiplier, each other mode as its
+    degree's transport applied twice (Lie Lie = T T for T = -Lie)."""
+    if spectral and not spectral_path(model, noise):
+        raise _no_spectral_form(model)
+    const = noise.constant_vectors()
+    mult = _uniform_ito_multiplier(grid, const)
     if spectral:
-        _require_spectral(model, noise)
-        mult = _uniform_ito_multiplier(grid, noise.constant_vectors())
 
         def c(specs: Arrays) -> Arrays:
             return tuple(mult * s for s in specs)
 
         return c
-    if model.kind != "em":
-        raise ConstraintError("Ito corrections are implemented for the em systems only")
+    degrees = [degree for _, degree in model.components]
+    transports = [_TRANSPORT[degree] for degree in degrees]
+    harmonic = noise.nonconstant_indices()
+    needs_grad = ONE_FORM_DENSITY in degrees and bool(harmonic)
 
     def c(arrs: Arrays) -> Arrays:
         if noise.n_modes == 0:
             return tuple(np.zeros_like(a) for a in arrs)
-        return tuple(_double_lie_2form(grid, noise, a) for a in arrs)
+        grads = noise.grad_stacked() if needs_grad else None
+        out = []
+        for transport, F in zip(transports, arrs):
+            total = np.zeros_like(F)
+            if len(const):
+                total += grid.irfft(mult * grid.rfft(F))
+            for i in harmonic:
+                xi, grad_xi = noise.xis[i].values, grads[i] if needs_grad else None
+                total += 0.5 * transport(grid, xi, grad_xi, transport(grid, xi, grad_xi, F))
+            out.append(total)
+        return tuple(out)
 
     return c
-

@@ -4,9 +4,9 @@ Everything lives on a uniform grid over the 3-torus [0,Lx) x [0,Ly) x [0,Lz).
 Differential operators act in spectral space, so the discrete div/curl/grad
 commute exactly and div(curl F) = 0, curl(grad f) = 0 hold to roundoff.
 
-Dealiasing policy: the 2/3-rule mask is applied to *products* (cross, dot and
-the composite nonlinear fluxes assembled by the dynamics layer), never to the
-linear operators themselves. Pointwise non-polynomial closures (sqrt, 1/H)
+Dealiasing policy: the 2/3-rule mask is applied to *products* (the transport
+kernels and the composite nonlinear fluxes assembled by the dynamics layer),
+never to the linear operators themselves. Pointwise non-polynomial closures (sqrt, 1/H)
 are evaluated from raw products so pointwise bounds like H >= 1 survive.
 """
 
@@ -163,10 +163,6 @@ class VectorField:
                 f"vector values shape {self.values.shape} != (3, {self.grid.shape})"
             )
 
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "VectorField":
-        return cls(grid, np.zeros((3, *grid.shape)))
-
     def max_norm(self) -> float:
         """max over the grid of the pointwise Euclidean norm."""
         return float(np.sqrt(np.max(np.sum(self.values**2, axis=0))))
@@ -280,28 +276,6 @@ def div(F: VectorField) -> ScalarField:
 def curl(F: VectorField) -> VectorField:
     """Spectral curl; div(curl F) vanishes to machine precision."""
     return VectorField(F.grid, _curl_arr(F.grid, F.values))
-
-
-def laplacian(field: ScalarField | VectorField) -> ScalarField | VectorField:
-    grid = field.grid
-    spec = grid.rfft(field.values)
-    out = grid.irfft(-grid.k2 * spec)
-    return type(field)(grid, out)
-
-
-def cross(F: VectorField, G: VectorField, dealias: bool | None = None) -> VectorField:
-    raw = np.cross(F.values, G.values, axis=0)
-    return VectorField(F.grid, _maybe_truncate(F.grid, raw, dealias))
-
-
-def dot(F: VectorField, G: VectorField, dealias: bool | None = None) -> ScalarField:
-    raw = np.sum(F.values * G.values, axis=0)
-    return ScalarField(F.grid, _maybe_truncate(F.grid, raw, dealias))
-
-
-def integrate(f: ScalarField) -> float:
-    """Quadrature as mean x volume; exact for band-limited integrands."""
-    return float(np.mean(f.values)) * f.grid.volume
 
 
 def max_div(F: VectorField) -> float:

@@ -26,6 +26,7 @@ from .dynamics import (
     make_ito_correction,
     make_noise_op,
     spectral_path,
+    sum_drifts,
 )
 from .errors import NumericalError
 from .grid import GridSpec, _curl_inv_arr
@@ -57,10 +58,6 @@ class EnsembleResult:
     output_dir: Path | None
 
 
-def _field_names(model: ModelSpec) -> tuple[str, ...]:
-    return {"em": ("D", "B"), "mhd": ("P", "B"), "vorticity": ("w",)}[model.kind]
-
-
 def initial_arrays(config: RunConfig) -> tuple[np.ndarray, ...]:
     model = get_model(config.model)
     ic = config.initial
@@ -76,14 +73,11 @@ def initial_arrays(config: RunConfig) -> tuple[np.ndarray, ...]:
     )
 
 
-def _check_cfl(config: RunConfig, model: ModelSpec, arrs) -> None:
-    grid = config.grid
-    if model.kind == "vorticity":
-        u = _curl_inv_arr(grid, arrs[0])
-        speed = float(np.sqrt(np.max(np.sum(u * u, axis=0))))
-    else:
-        speed = 1.0  # wave speed bounds the material velocity for these systems
-    courant = speed * config.integrator.dt / grid.min_spacing
+def _check_cfl(config: RunConfig, u: np.ndarray | None) -> None:
+    """u is a vorticity run's velocity curl^-1 w; for the other systems
+    (u None) the wave speed 1 bounds the material velocity."""
+    speed = 1.0 if u is None else float(np.sqrt(np.max(np.sum(u * u, axis=0))))
+    courant = speed * config.integrator.dt / config.grid.min_spacing
     if courant > config.integrator.cfl_guard:
         raise NumericalError(
             f"CFL guard breached: speed*dt/dx = {courant:.3f} > {config.integrator.cfl_guard}"
@@ -106,13 +100,7 @@ def make_stepper(
     if model.calculus is not None:
         noise_op = make_noise_op(model, grid, noise, spectral=spectral)
     if model.calculus == "ito":
-        correction = make_ito_correction(model, grid, noise, spectral=spectral)
-
-        def ito_drift(arrs):
-            f = drift(arrs)
-            c = correction(arrs)
-            return tuple(a + b for a, b in zip(f, c))
-
+        ito_drift = sum_drifts(drift, make_ito_correction(model, grid, noise, spectral=spectral))
     else:
         ito_drift = drift
     if model.calculus is None or scheme == "rk4":
@@ -127,7 +115,6 @@ def run_member(
     config: RunConfig,
     member: int,
     out_dir: Path | None = None,
-    noise: NoiseModel | None = None,
     start_step: int = 0,
     start_arrays: tuple[np.ndarray, ...] | None = None,
     csv_prefix: str | None = None,
@@ -137,13 +124,10 @@ def run_member(
     On the spectral path the state stays as rfft spectra between steps; the
     physical arrays are made only for samples, snapshots, checkpoints and
     the result, and a checkpoint step re-derives the spectra from the arrays
-    it wrote, so a resumed run continues from exactly the same state. noise
-    is config.build_noise(), built here unless the ensemble passes the one
-    it shares among its members."""
+    it wrote, so a resumed run continues from exactly the same state."""
     grid = config.grid
     model = get_model(config.model)
-    if noise is None:
-        noise = config.build_noise()
+    noise = config.noise
     dt = config.integrator.dt
     n_steps = config.integrator.n_steps
     spectral = spectral_path(model, noise)
@@ -168,15 +152,20 @@ def run_member(
         member_dir = Path(out_dir) / f"member_{member:04d}"
         member_dir.mkdir(parents=True, exist_ok=True)
 
-    def sample(step: int) -> None:
-        rec = collect_record(model, grid, arrs, time=step * dt)
+    def velocity() -> np.ndarray | None:
+        """u = curl^-1 w of a vorticity state, shared by a sample's
+        diagnostics and its CFL check."""
+        return _curl_inv_arr(grid, arrs[0]) if model.kind == "vorticity" else None
+
+    def sample(step: int, u: np.ndarray | None) -> None:
+        rec = collect_record(model, grid, arrs, time=step * dt, u=u)
         records.append(rec)
         csv_lines.append(",".join(rec.csv_row()))
 
     def snapshot(step: int) -> None:
         if member_dir is None:
             return
-        for name, vals in zip(_field_names(model), arrs):
+        for (name, _), vals in zip(model.components, arrs):
             paths = write_snapshot(
                 member_dir,
                 f"step_{step:06d}_{name}",
@@ -208,14 +197,15 @@ def run_member(
     ckpt_every = config.output.checkpoint_interval
 
     try:
-        _check_cfl(config, model, arrs)
+        u = velocity()
+        _check_cfl(config, u)
         if start_step == 0:
-            sample(0)
+            sample(0, u)
             if snap_every:
                 snapshot(0)
         state = to_state(arrs)
         for step in range(start_step, n_steps):
-            arrs = None  # only `state` lives across steps; outputs remake the arrays
+            arrs = u = None  # only `state` lives across steps; outputs remake the arrays
             dW = driver.increments(step, dt) if model.calculus is not None else None
             state = step_fn(state, dW)
             done = step + 1
@@ -227,9 +217,10 @@ def run_member(
                 continue
             arrs = to_arrays(state)
             if do_sample:
-                sample(done)
-                if model.kind == "vorticity":
-                    _check_cfl(config, model, arrs)
+                u = velocity()
+                sample(done, u)
+                if u is not None:
+                    _check_cfl(config, u)
             if do_snap:
                 snapshot(done)
             if do_ckpt:
@@ -278,10 +269,7 @@ def run_ensemble(config: RunConfig, output_root: str | Path | None = None) -> En
         out_dir = root / config.output.directory
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    noise = config.build_noise()
-    members = [
-        run_member(config, m, out_dir, noise) for m in range(config.ensemble.members)
-    ]
+    members = [run_member(config, m, out_dir) for m in range(config.ensemble.members)]
 
     if out_dir is not None:
         times, stats = _summary_stats(members)

@@ -46,20 +46,24 @@ def test_ensemble_check_helper_exists():
     assert callable(sabi.verify._component_l2_comparison)
 
 
-def test_spectral_run_calls_every_wrapped_boundary(monkeypatch):
+def spy_on_runner(monkeypatch, names) -> Counter:
+    """Count calls of the given names where sabi.runner looks them up."""
     calls = Counter()
-
-    def spy(name):
+    for name in names:
         original = getattr(sabi.runner, name)
 
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
+        def wrapped(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
 
         monkeypatch.setattr(sabi.runner, name, wrapped)
+    return calls
 
-    for name in ("make_drift", "make_noise_op", "make_ito_correction", "euler_maruyama_step"):
-        spy(name)
+
+def test_spectral_run_calls_every_wrapped_boundary(monkeypatch):
+    calls = spy_on_runner(
+        monkeypatch, ("make_drift", "make_noise_op", "make_ito_correction", "euler_maruyama_step")
+    )
     cfg = parse_config(
         {
             "model": "maxwell-ito",
@@ -72,3 +76,29 @@ def test_spectral_run_calls_every_wrapped_boundary(monkeypatch):
     sabi.runner.run_member(cfg, 0)
     assert calls["make_drift"] == calls["make_noise_op"] == calls["make_ito_correction"] == 1
     assert calls["euler_maruyama_step"] == cfg.integrator.n_steps == 5
+
+
+def test_generic_noise_run_calls_every_wrapped_boundary(monkeypatch):
+    # the mhd-io-32 path: mhd-stratonovich under Heun, a uniform and a
+    # harmonic mode, through the physical-space noise operator
+    calls = spy_on_runner(
+        monkeypatch, ("make_drift", "make_noise_op", "make_ito_correction", "heun_stratonovich_step")
+    )
+    cfg = parse_config(
+        {
+            "model": "mhd-stratonovich",
+            "grid": {"nx": 8, "ny": 8, "nz": 8},
+            "initial": {"preset": "helical-orthogonal", "amplitude": 0.04, "kmax": 1},
+            "noise": {
+                "modes": [
+                    {"type": "constant", "a": [0.1, 0.05, 0.0]},
+                    {"type": "harmonic", "k": [0, 0, 1], "a": [0.1, 0.0, 0.0]},
+                ]
+            },
+            "integrator": {"dt": 0.01, "t_end": 0.04},
+        }
+    )
+    sabi.runner.run_member(cfg, 0)
+    assert calls["make_drift"] == calls["make_noise_op"] == 1
+    assert calls["make_ito_correction"] == 0
+    assert calls["heun_stratonovich_step"] == cfg.integrator.n_steps == 4

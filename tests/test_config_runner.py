@@ -8,9 +8,12 @@ import sys
 import numpy as np
 import pytest
 
+import sabi.diagnostics
+import sabi.runner
 from sabi.cli import main as cli_main
-from sabi.config import load_config, parse_config
+from sabi.config import _noise_model, load_config, parse_config
 from sabi.errors import ConfigError
+from sabi.noise import NoiseModel
 from sabi.outputs import read_checkpoint, read_diagnostics_csv, read_snapshot_component
 from sabi.runner import initial_arrays, resume_member, run_ensemble
 
@@ -62,8 +65,10 @@ class TestConfigParsing:
             model="maxwell-stratonovich",
             noise={"modes": [{"type": "harmonic", "k": [1, 0, 0], "a": [1, 0, 0]}]},
         )
+        cfg_path = write_config(tmp_path, bad)
         with pytest.raises(ConfigError, match="divergence-free"):
-            load_config(write_config(tmp_path, bad))
+            load_config(cfg_path)
+        assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)]) == 2
 
     def test_noise_on_deterministic_model_rejected(self, tmp_path):
         bad = dict(
@@ -302,6 +307,63 @@ class TestRunOutputs:
         s = run_ensemble(stoch).members[0].final_arrays
         d = run_ensemble(det).members[0].final_arrays
         assert np.max(np.abs(s[0] - d[0])) < 1e-9  # heun vs rk4 at tiny dt
+
+    def test_noise_model_built_once_per_config(self, tmp_path, monkeypatch):
+        # building the noise model costs a forward and an inverse transform
+        # per mode; parse_config builds it (to reject bad modes at load
+        # time), and the run reuses that build, as does a resume of the run
+        # (in a fresh process the resume's own parse_config builds it once)
+        _noise_model.cache_clear()
+        builds = []
+        original = NoiseModel.__post_init__
+
+        def counting(self):
+            builds.append(self.n_modes)
+            original(self)
+
+        monkeypatch.setattr(NoiseModel, "__post_init__", counting)
+        cfg = parse_config(
+            json.loads(
+                quick_run_config(
+                    tmp_path,
+                    model="maxwell-stratonovich",
+                    noise={"modes": [{"type": "harmonic", "k": [0, 0, 1], "a": [0.3, 0, 0]}]},
+                    integrator={"scheme": "heun", "dt": 0.02, "t_end": 0.08},
+                    ensemble={"members": 2},
+                ).read_text()
+            )
+        )
+        run_ensemble(cfg, output_root=tmp_path)
+        assert builds == [1]
+        checkpoint = tmp_path / "out/member_0001/checkpoint_000002.npz"
+        resume_member(checkpoint, tmp_path / "r")
+        assert builds == [1]
+        _noise_model.cache_clear()
+        resume_member(checkpoint, tmp_path / "r2")
+        assert builds == [1, 1]
+
+    def test_vorticity_sample_recovers_velocity_once(self, tmp_path, monkeypatch):
+        # a sample's diagnostics and its CFL check share one u = curl^-1 w
+        calls = []
+        for module in (sabi.runner, sabi.diagnostics):
+            original = module._curl_inv_arr
+
+            def counting(grid, w, original=original):
+                calls.append(w.shape)
+                return original(grid, w)
+
+            monkeypatch.setattr(module, "_curl_inv_arr", counting)
+        cfg = load_config(
+            quick_run_config(
+                tmp_path,
+                model="euler-vorticity",
+                initial={"preset": "taylor-green", "amplitude": 0.5},
+                integrator={"scheme": "rk4", "dt": 0.02, "t_end": 0.08},
+            )
+        )
+        records = run_ensemble(cfg).members[0].records
+        assert len(records) == 5
+        assert len(calls) == len(records)
 
     def test_initial_arrays_deterministic(self, tmp_path):
         cfg = load_config(quick_run_config(tmp_path))

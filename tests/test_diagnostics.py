@@ -156,7 +156,7 @@ class TestLoops:
         noise = NoiseModel.from_modes(grid, [make_constant_mode(grid, (1.0, 0, 0))])
         loop = TracerLoop.circle((np.pi, np.pi, np.pi), 1.0, 32)
         out = advect_loop(
-            loop, VectorField.zeros(grid), dt=0.1, noise=noise, dW=np.array([0.25])
+            loop, VectorField(grid, np.zeros((3, *grid.shape))), dt=0.1, noise=noise, dW=np.array([0.25])
         )
         expected = loop.points + np.array([0.25, 0.0, 0.0])
         assert np.max(np.abs(out.points - expected)) < 1e-13

@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 
 from sabi.dynamics import (
+    _TRANSPORT,
+    ONE_FORM_DENSITY,
+    TWO_FORM,
     get_model,
     make_drift,
     make_ito_correction,
@@ -18,7 +21,7 @@ from sabi.dynamics import (
     mhd_density,
 )
 from sabi.errors import ConstraintError, NumericalError
-from sabi.grid import GridSpec, VectorField, curl, curl_inv, laplacian, lie2form, max_div
+from sabi.grid import GridSpec, VectorField, _grad_vector_arr, curl, curl_inv, lie2form, max_div
 from sabi.noise import NoiseModel, make_constant_mode, make_divfree_mode
 
 from test_grid import random_band_limited
@@ -161,8 +164,8 @@ class TestExpectationRHS:
         )
         dD, _ = apply(make_drift, "maxwell-expectation", grid, s, noise)
         base, _ = apply(make_drift, "maxwell", grid, s)
-        lap = laplacian(VectorField(grid, s[0]))
-        expected = base.values + 0.5 * sigma**2 * lap.values
+        lap = grid.irfft(-grid.k2 * grid.rfft(s[0]))
+        expected = base.values + 0.5 * sigma**2 * lap
         assert np.max(np.abs(dD.values - expected)) < 1e-10
 
     def test_single_mode_damping_rate(self, grid):
@@ -285,6 +288,87 @@ class TestMHD:
         mom_c = np.linalg.norm(dP_c.values.mean(axis=(1, 2, 3)) * grid.volume)
         assert mom_c < 1e-10
         assert mom_h > 1e-3
+
+
+def along(xi, grad_xi):
+    """(xi . grad) applied to every component: sum_k xi^k d_k, for partials
+    in the layout grad[k, j] = d_k f^j."""
+    return np.einsum("k...,kj...->j...", xi, grad_xi)
+
+
+def full_fft_partials(grid, f):
+    """d_k f^j by complex FFTs of the whole box, layout [k, j]; shares no
+    code with the grid's rfft kernels."""
+    axes = (-3, -2, -1)
+    spec = np.fft.fftn(f, axes=axes)
+    k1 = [
+        2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
+        for n, length in ((grid.nx, grid.Lx), (grid.ny, grid.Ly), (grid.nz, grid.Lz))
+    ]
+    ks = (k1[0][:, None, None], k1[1][None, :, None], k1[2][None, None, :])
+    return np.stack([np.fft.ifftn(1j * k * spec, axes=axes).real for k in ks])
+
+
+class TestTransportTable:
+    @pytest.mark.parametrize(
+        "n, length",
+        [
+            pytest.param(16, 2.0 * np.pi, id="16-2pi"),
+            pytest.param(16, 5.0, id="16-L5"),
+            pytest.param(24, 3.0, id="24-L3"),
+        ],
+    )
+    @pytest.mark.parametrize("degree", [TWO_FORM, ONE_FORM_DENSITY])
+    def test_commutator_is_lie_derivative_of_bracket(self, degree, n, length):
+        # L_xi L_eta F - L_eta L_xi F = L_[xi,eta] F with the bracket
+        # (xi.grad)eta - (eta.grad)xi; the kernels give T = -L, so the left
+        # side is T_xi T_eta F - T_eta T_xi F and the right side -T_[xi,eta] F
+        g = GridSpec(n, n, n, Lx=length, Ly=length, Lz=length, dealias=False)
+        xi = random_band_limited(g, seed=31, kmax=2, divfree=True).values
+        eta = random_band_limited(g, seed=32, kmax=2, divfree=True).values
+        F = random_band_limited(g, seed=33, kmax=2, divfree=degree == TWO_FORM).values
+        gxi, geta = _grad_vector_arr(g, xi), _grad_vector_arr(g, eta)
+        bracket = along(xi, geta) - along(eta, gxi)
+        T = _TRANSPORT[degree]
+        lhs = T(g, xi, gxi, T(g, eta, geta, F)) - T(g, eta, geta, T(g, xi, gxi, F))
+        rhs = -T(g, bracket, _grad_vector_arr(g, bracket), F)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+
+    def test_every_kind_has_an_ito_correction(self, grid):
+        # a uniform mode's correction is its spectral multiplier; the same
+        # mode marked non-uniform goes through the degree's transport twice
+        xi = make_constant_mode(grid, (0.4, 0.3, 0.0))
+        fast = NoiseModel(grid, (xi,), (True,))
+        slow = NoiseModel(grid, (xi,), (False,))
+        w = random_band_limited(grid, seed=34, kmax=2, divfree=True).values
+        for model, s in (
+            ("bi-ito", em_state(grid, seed=35, amplitude=0.3)),
+            ("mhd-stratonovich", helical_orthogonal_state(grid, seed=36)),
+            ("euler-vorticity", (w,)),
+        ):
+            cf = make_ito_correction(get_model(model), grid, fast)(s)
+            cs = make_ito_correction(get_model(model), grid, slow)(s)
+            assert len(cf) == len(cs) == len(s)
+            for a, b in zip(cf, cs):
+                assert np.max(np.abs(a - b)) < 1e-12
+
+
+class TestHamiltonianNoiseField:
+    def test_mhd_noise_op_is_lie_poisson_field_of_pairing(self):
+        # H_xi = <P, xi> generates (-ad*_xi P, -Lie_xi B) under the MHD
+        # Lie-Poisson bracket; for divergence-free xi and B that is
+        # -((xi.grad)P + (grad xi)^T P) and -((xi.grad)B - (B.grad)xi)
+        g = GridSpec(8, 8, 8, dealias=False)
+        xi = make_divfree_mode(g, k=(1, 0, 1), a=(0.3, 0.5, -0.2), phase=0.4)
+        P = random_band_limited(g, seed=37, kmax=1).values
+        B = random_band_limited(g, seed=38, kmax=1, divfree=True).values
+        gxi, gP, gB = (full_fft_partials(g, f) for f in (xi.values, P, B))
+        want_P = -(along(xi.values, gP) + np.einsum("kj...,j...->k...", gxi, P))
+        want_B = -(along(xi.values, gB) - along(B, gxi))
+        noise = NoiseModel.from_modes(g, [xi])
+        dP, dB = make_noise_op(get_model("mhd-stratonovich"), g, noise)((P, B), np.ones(1))
+        assert np.max(np.abs(dP - want_P)) <= 1e-12 * np.max(np.abs(want_P))
+        assert np.max(np.abs(dB - want_B)) <= 1e-12 * np.max(np.abs(want_B))
 
 
 class TestModelRegistry:

@@ -11,7 +11,7 @@ import pytest
 from sabi.dynamics import get_model, make_drift
 from sabi.em_fields import bi_closure, bi_density, hydro_variables, momentum_map_pairing
 from sabi.errors import ConstraintError
-from sabi.grid import GridSpec, ScalarField, VectorField, _curl_arr, grad, integrate
+from sabi.grid import GridSpec, VectorField, _curl_arr, grad
 
 from test_grid import random_band_limited
 
@@ -186,13 +186,13 @@ class TestMomentumMapPairing:
     def test_zero_xi(self, grid8):
         D = random_band_limited(grid8, seed=13, kmax=2, divfree=True)
         A = random_band_limited(grid8, seed=14, kmax=2)
-        lhs, rhs = momentum_map_pairing(A, D, VectorField.zeros(grid8))
+        lhs, rhs = momentum_map_pairing(A, D, VectorField(grid8, np.zeros((3, *grid8.shape))))
         assert lhs == 0.0 and rhs == 0.0
 
     def test_zero_d(self, grid8):
         A = random_band_limited(grid8, seed=15, kmax=2)
         xi = random_band_limited(grid8, seed=16, kmax=2, divfree=True)
-        lhs, rhs = momentum_map_pairing(A, VectorField.zeros(grid8), xi)
+        lhs, rhs = momentum_map_pairing(A, VectorField(grid8, np.zeros((3, *grid8.shape))), xi)
         assert lhs == 0.0 and rhs == 0.0
 
     def test_pairing_identity_random(self):
@@ -214,4 +214,4 @@ class TestMomentumMapPairing:
 class TestEMState:
     def test_vacuum_energy_volume(self, grid8):
         H, _ = bi_density(*zero_state(grid8))
-        assert integrate(ScalarField(grid8, H)) == pytest.approx(TWO_PI**3, rel=1e-13)
+        assert float(np.mean(H)) * grid8.volume == pytest.approx(TWO_PI**3, rel=1e-13)

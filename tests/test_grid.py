@@ -13,20 +13,17 @@ from sabi.grid import (
     GridSpec,
     ScalarField,
     VectorField,
-    cross,
     curl,
     curl_inv,
     div,
-    dot,
     evaluate_at_points,
     grad,
-    integrate,
-    laplacian,
     lie2form,
     max_div,
     project_divfree,
     _grad_vector_arr,
     _lie_1form_density_arr,
+    _maybe_truncate,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -50,6 +47,11 @@ def random_band_limited(grid, seed, kmax, vector=True, divfree=False, zero_mean=
         return ScalarField(grid, vals)
     field = VectorField(grid, vals)
     return project_divfree(field) if divfree else field
+
+
+def integral(grid, values):
+    """Quadrature as mean x volume; exact for band-limited integrands."""
+    return float(np.mean(values)) * grid.volume
 
 
 def l2(field):
@@ -116,19 +118,19 @@ class TestDerivatives:
     def test_laplacian_single_mode(self, grid16):
         X, _, _ = grid16.meshgrid()
         f = ScalarField(grid16, np.sin(2 * X))
-        lap = laplacian(f)
-        assert np.max(np.abs(lap.values + 4 * np.sin(2 * X))) < 1e-11
+        lap = grid16.irfft(-grid16.k2 * grid16.rfft(f.values))
+        assert np.max(np.abs(lap + 4 * np.sin(2 * X))) < 1e-11
 
     def test_integrate_sin_squared(self, grid16):
         X, _, _ = grid16.meshgrid()
         f = ScalarField(grid16, np.sin(X) ** 2)
-        assert integrate(f) == pytest.approx(TWO_PI**3 / 2, rel=1e-13)
+        assert integral(grid16, f.values) == pytest.approx(TWO_PI**3 / 2, rel=1e-13)
 
     def test_integration_by_parts(self, grid16):
         f = random_band_limited(grid16, seed=2, kmax=5, vector=False)
         F = random_band_limited(grid16, seed=3, kmax=5)
-        lhs = integrate(dot(grad(f), F, dealias=False))
-        rhs = integrate(ScalarField(grid16, f.values * div(F).values))
+        lhs = integral(grid16, np.sum(grad(f).values * F.values, axis=0))
+        rhs = integral(grid16, f.values * div(F).values)
         scale = l2(f) * l2(F)
         assert abs(lhs + rhs) < 1e-11 * scale
 
@@ -217,7 +219,7 @@ class TestLieDerivatives:
         xi = random_band_limited(grid16, seed=17, kmax=3, divfree=True)
         f = random_band_limited(grid16, seed=18, kmax=3, vector=False)
         out = lie_1form_density(xi, grad(f))
-        expected = grad(dot(xi, grad(f), dealias=False))
+        expected = grad(ScalarField(grid16, np.sum(xi.values * grad(f).values, axis=0)))
         assert np.max(np.abs(out - expected.values)) < 1e-10
 
     def test_lie_1form_density_constant(self, grid16):
@@ -239,8 +241,8 @@ class TestDealiasing:
     def test_cross_deterministic(self, grid16):
         F = random_band_limited(grid16, seed=21, kmax=5)
         G = random_band_limited(grid16, seed=22, kmax=5)
-        a = cross(F, G, dealias=True).values
-        b = cross(F, G, dealias=True).values
+        a = _maybe_truncate(grid16, np.cross(F.values, G.values, axis=0), True)
+        b = _maybe_truncate(grid16, np.cross(F.values, G.values, axis=0), True)
         assert a.tobytes() == b.tobytes()
 
     def test_dot_truncates(self):
@@ -248,11 +250,10 @@ class TestDealiasing:
         X, _, _ = g.meshgrid()
         # product of two k=5 modes has a k=10 harmonic above the keep band
         F = VectorField(g, np.stack([np.cos(5 * X), 0 * X, 0 * X]))
-        d = dot(F, F)
-        spec = g.rfft(d.values)
+        prod = np.sum(F.values * F.values, axis=0)
+        spec = g.rfft(_maybe_truncate(g, prod, None))
         assert abs(spec[10, 0, 0]) < 1e-10
-        raw = dot(F, F, dealias=False)
-        spec_raw = g.rfft(raw.values)
+        spec_raw = g.rfft(_maybe_truncate(g, prod, False))
         assert abs(spec_raw[10, 0, 0]) > 1.0
 
 
