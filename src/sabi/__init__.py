@@ -3,7 +3,7 @@ pressureless-MHD high-field limit, and Euler vorticity, with stochastic Lie
 transport by divergence-free correlation fields."""
 
 from .errors import ConfigError, ConstraintError, NumericalError, SabiError
-from .grid import GridSpec, ScalarField, VectorField
+from .grid import GridSpec
 
 __version__ = "0.1.0"
 
@@ -13,8 +13,6 @@ __all__ = [
     "NumericalError",
     "SabiError",
     "GridSpec",
-    "ScalarField",
-    "VectorField",
     "load_config",
     "run_ensemble",
     "__version__",
@@ -22,7 +20,7 @@ __all__ = [
 
 
 def __getattr__(name):
-    # deferred imports keep `import sabi` light for field-only use
+    # deferred imports keep `import sabi` light when only the grid is used
     if name == "load_config":
         from .config import load_config
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .dynamics import ModelSpec, get_model
 from .errors import ConfigError
-from .grid import GridSpec, TWO_PI, VectorField
+from .grid import GridSpec, TWO_PI
 from .integrators import IntegratorConfig
 from .noise import NoiseModel, make_constant_mode, make_divfree_mode
 from .presets import check_preset
@@ -142,11 +142,10 @@ class RunConfig:
 def _noise_model(
     grid: GridSpec, modes: tuple[NoiseModeConfig, ...], modes_json: str
 ) -> NoiseModel:
-    """Builds a noise model (one forward and one inverse transform per mode)
-    and keeps the last one with its lazily cached stacks and gradients.
-    modes_json is in the key because equal modes may still differ in the
-    sign of a zero."""
-    built: list[VectorField] = []
+    """Builds a noise model (its modes' divergence checks and the harmonic
+    modes' partials) and keeps the last one. modes_json is in the key because
+    equal modes may still differ in the sign of a zero."""
+    built = []
     for i, m in enumerate(modes):
         try:
             if m.type == "constant":
@@ -155,7 +154,7 @@ def _noise_model(
                 built.append(make_divfree_mode(grid, m.k, m.a, m.phase, m.amplitude))
         except Exception as exc:
             raise ConfigError(f"noise.modes[{i}]: {exc}") from exc
-    return NoiseModel.from_modes(grid, built)
+    return NoiseModel(grid, built)
 
 
 def _parse_grid(data: dict) -> GridSpec:

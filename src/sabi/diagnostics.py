@@ -18,15 +18,15 @@ from .dynamics import MHD_H_FLOOR, Arrays, ModelSpec, make_drift, mhd_density
 from .em_fields import bi_closure, bi_density, hydro_force, hydro_variables
 from .errors import ConstraintError, NumericalError
 from .grid import (
+    CURL_INV_DIV_TOL,
     GridSpec,
-    VectorField,
-    _curl_arr,
-    _curl_inv_arr,
-    _grad_arr,
     _grad_vector_arr,
     _lie_1form_density_arr,
+    check_divfree,
+    curl,
     curl_inv,
     evaluate_at_points,
+    grad,
     max_div,
 )
 from .noise import NoiseModel
@@ -34,6 +34,7 @@ from .noise import NoiseModel
 # {F_xi, F_eta} = LP_BRACKET_SIGN * <P, [xi, eta]>, calibrated once by the
 # brute-force canonical-bracket computation and asserted in the tests.
 LP_BRACKET_SIGN = -1.0
+LP_BRACKET_DIV_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ def total_energy(
         return float(np.mean(h)) * grid.volume
     if model.kind == "vorticity":
         if u is None:
-            u = _curl_inv_arr(grid, arrs[0])
+            u = curl_inv(grid, arrs[0])
         return 0.5 * float(np.mean(np.sum(u * u, axis=0))) * grid.volume
     raise ConstraintError(f"no energy functional for model kind {model.kind!r}")
 
@@ -130,20 +131,21 @@ def total_momentum(
     elif model.kind == "mhd":
         P = arrs[0]
     elif model.kind == "vorticity":
-        P = _curl_inv_arr(grid, arrs[0]) if u is None else u
+        P = curl_inv(grid, arrs[0]) if u is None else u
     else:
         raise ConstraintError(f"no momentum functional for model kind {model.kind!r}")
     return P.mean(axis=(1, 2, 3)) * grid.volume
 
 
-def magnetic_helicity(B: VectorField) -> float:
+def magnetic_helicity(grid: GridSpec, B: np.ndarray) -> float:
     """int A.B over the box with A the div-free zero-mean potential.
 
     Gauge invariant on the torus: shifting A by any gradient changes the
-    integral by int grad(psi).B = -int psi div B = 0.
+    integral by int grad(psi).B = -int psi div B = 0. B must meet curl_inv's
+    precondition, which collect_record checks.
     """
-    A = curl_inv(B)  # validates div B and the mean mode
-    return float(np.mean(np.sum(A.values * B.values, axis=0))) * B.grid.volume
+    A = curl_inv(grid, B)
+    return float(np.mean(np.sum(A * B, axis=0))) * grid.volume
 
 
 def pb_orthogonality(P: np.ndarray, B: np.ndarray) -> float:
@@ -186,19 +188,20 @@ class TracerLoop:
         return cls(pts)
 
 
-def loop_circulation(loop: TracerLoop, v: VectorField) -> float:
+def loop_circulation(grid: GridSpec, loop: TracerLoop, v: np.ndarray) -> float:
     """Trapezoidal closed-loop integral of v . dx over the polygon."""
-    vals = evaluate_at_points(v, loop.points)  # (n, 3)
+    vals = evaluate_at_points(grid, v, loop.points)  # (n, 3)
     seg = np.roll(loop.points, -1, axis=0) - loop.points
     mid = 0.5 * (vals + np.roll(vals, -1, axis=0))
     return float(np.sum(mid * seg))
 
 
 def advect_loop(
+    grid: GridSpec,
     loop: TracerLoop,
-    v_start: VectorField,
+    v_start: np.ndarray,
     dt: float,
-    v_end: VectorField | None = None,
+    v_end: np.ndarray | None = None,
     noise: NoiseModel | None = None,
     dW: np.ndarray | None = None,
 ) -> TracerLoop:
@@ -208,14 +211,14 @@ def advect_loop(
     here, so the loop rides the identical realization of the transport.
     v_end, when given, is the velocity field after the step (corrector stage).
     """
-    xi_eff: VectorField | None = None
+    xi_eff = None
     if noise is not None and dW is not None and noise.n_modes and np.any(dW):
-        xi_eff = VectorField(v_start.grid, noise.combine(np.asarray(dW, dtype=float)))
+        xi_eff = noise.combine(np.asarray(dW, dtype=float))
 
-    def displacement(points: np.ndarray, v_field: VectorField) -> np.ndarray:
-        disp = evaluate_at_points(v_field, points) * dt
+    def displacement(points: np.ndarray, v_field: np.ndarray) -> np.ndarray:
+        disp = evaluate_at_points(grid, v_field, points) * dt
         if xi_eff is not None:
-            disp = disp + evaluate_at_points(xi_eff, points)
+            disp = disp + evaluate_at_points(grid, xi_eff, points)
         return disp
 
     d0 = displacement(loop.points, v_start)
@@ -229,7 +232,7 @@ def advect_loop(
 
 
 def lp_bracket_check(
-    D: VectorField, A: VectorField, xi: VectorField, eta: VectorField
+    grid: GridSpec, D: np.ndarray, A: np.ndarray, xi: np.ndarray, eta: np.ndarray
 ) -> tuple[float, float]:
     """Canonical bracket of the smeared momentum functionals versus the
     momentum pairing with the vector-field bracket.
@@ -239,29 +242,26 @@ def lp_bracket_check(
     is assembled directly; the right side is LP_BRACKET_SIGN * <P, [xi, eta]>
     with P = D x curl A and [xi, eta] = (xi.grad)eta - (eta.grad)xi.
     """
-    grid = D.grid
     for name, f in (("D", D), ("xi", xi), ("eta", eta)):
-        d = max_div(f)
-        if d > 1e-8:
-            raise ConstraintError(f"lp_bracket_check: max|div {name}| = {d:.3e}")
+        check_divfree(grid, f, "lp_bracket_check", name, LP_BRACKET_DIV_TOL)
     vol = grid.cell_volume
-    B = _curl_arr(grid, A.values)
+    B = curl(grid, A)
 
     def pair(a: np.ndarray, b: np.ndarray) -> float:
         return float(np.sum(a * b) * vol)
 
-    dF_dD = np.cross(B, xi.values, axis=0)
-    dF_dA = _curl_arr(grid, np.cross(xi.values, D.values, axis=0))
-    dK_dD = np.cross(B, eta.values, axis=0)
-    dK_dA = _curl_arr(grid, np.cross(eta.values, D.values, axis=0))
+    dF_dD = np.cross(B, xi, axis=0)
+    dF_dA = curl(grid, np.cross(xi, D, axis=0))
+    dK_dD = np.cross(B, eta, axis=0)
+    dK_dA = curl(grid, np.cross(eta, D, axis=0))
     lhs = pair(dF_dD, dK_dA) - pair(dK_dD, dF_dA)
 
-    gxi = _grad_vector_arr(grid, xi.values)
-    geta = _grad_vector_arr(grid, eta.values)
-    bracket = np.einsum("j...,jk...->k...", xi.values, geta) - np.einsum(
-        "j...,jk...->k...", eta.values, gxi
+    gxi = _grad_vector_arr(grid, xi)
+    geta = _grad_vector_arr(grid, eta)
+    bracket = np.einsum("j...,jk...->k...", xi, geta) - np.einsum(
+        "j...,jk...->k...", eta, gxi
     )
-    P = np.cross(D.values, B, axis=0)
+    P = np.cross(D, B, axis=0)
     rhs = LP_BRACKET_SIGN * pair(P, bracket)
     return lhs, rhs
 
@@ -281,13 +281,11 @@ def km_bracket_residual(grid: GridSpec, D: np.ndarray, B: np.ndarray) -> float:
     T = (P[None, :] * P[:, None] - D[None, :] * D[:, None] - B[None, :] * B[:, None]) / Hd
     spec = grid.rfft(T)
     dP1 = grid.irfft(-1j * (grid.kx * spec[0] + grid.ky * spec[1] + grid.kz * spec[2]))
-    dP1 += _grad_arr(grid, 1.0 / Hd)
+    dP1 += grad(grid, 1.0 / Hd)
 
     # transport + diamond-force route
     lie_p = _lie_1form_density_arr(grid, v, _grad_vector_arr(grid, v), P)
-    forces = np.cross(B, _curl_arr(grid, bet), axis=0) + np.cross(
-        D, _curl_arr(grid, gam), axis=0
-    )
+    forces = np.cross(B, curl(grid, bet), axis=0) + np.cross(D, curl(grid, gam), axis=0)
     dP2 = -lie_p - forces
 
     num = float(np.sqrt(np.sum((dP1 - dP2) ** 2) * grid.cell_volume))
@@ -310,11 +308,11 @@ def vorticity_transport_residual(
     dP = np.cross(dD, B, axis=0) + np.cross(D, dB, axis=0)
     dH = np.sum(E * dD + Hf * dB, axis=0)
     dv = (dP - v * dH[None]) / Hd
-    d_vort = _curl_arr(grid, dv)
+    d_vort = curl(grid, dv)
 
-    vort = _curl_arr(grid, v)
-    transport = _curl_arr(grid, np.cross(v, vort, axis=0))
-    forces = _curl_arr(grid, hydro_force(grid, gam, bet))
+    vort = curl(grid, v)
+    transport = curl(grid, np.cross(v, vort, axis=0))
+    forces = curl(grid, hydro_force(grid, gam, bet))
     residual = d_vort - transport + forces
     num = float(np.sqrt(np.sum(residual**2) * grid.cell_volume))
     den = float(np.sqrt(np.sum(d_vort**2) * grid.cell_volume))
@@ -335,23 +333,21 @@ def collect_record(
     """One diagnostics sample of the model's state arrays ((D, B), (P, B) or
     (w,)); the vorticity velocity u = curl^-1 w is computed once, here
     unless the caller already has it, and shared by the energy and the
-    momentum."""
+    momentum. An MHD sample checks curl_inv's precondition on B before the
+    helicity, and records the max|div B| that check computed."""
     if model.kind == "em":
-        checks = {
-            "div_d": max_div(VectorField(grid, arrs[0])),
-            "div_b": max_div(VectorField(grid, arrs[1])),
-        }
+        checks = {"div_d": max_div(grid, arrs[0]), "div_b": max_div(grid, arrs[1])}
     elif model.kind == "mhd":
-        B = VectorField(grid, arrs[1])
+        B = arrs[1]
         checks = {
-            "div_b": max_div(B),
-            "helicity": magnetic_helicity(B),
+            "div_b": check_divfree(grid, B, "curl_inv", "B", CURL_INV_DIV_TOL, zero_mean=True),
+            "helicity": magnetic_helicity(grid, B),
             "pb_orth": pb_orthogonality(*arrs),
         }
     else:
-        checks = {"div_b": max_div(VectorField(grid, arrs[0]))}
+        checks = {"div_b": max_div(grid, arrs[0])}
         if u is None:
-            u = _curl_inv_arr(grid, arrs[0])
+            u = curl_inv(grid, arrs[0])
     rec = DiagnosticsRecord(
         time=time,
         energy=total_energy(model, grid, arrs, u),

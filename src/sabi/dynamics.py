@@ -40,12 +40,12 @@ from .em_fields import bi_closure
 from .errors import ConstraintError, NumericalError
 from .grid import (
     GridSpec,
-    _curl_arr,
-    _curl_inv_arr,
     _curl_spec,
     _lie_1form_density_arr,
     _maybe_truncate,
     _transport_2form_arr,
+    curl,
+    curl_inv,
 )
 from .noise import NoiseModel
 
@@ -119,7 +119,7 @@ def _em_drift_arrays(
     else:
         E, H = D, B
         mask = False  # linear terms need no truncation
-    return _curl_arr(grid, H, mask=mask), -_curl_arr(grid, E, mask=mask)
+    return curl(grid, H, mask=mask), -curl(grid, E, mask=mask)
 
 
 def _uniform_ito_multiplier(grid: GridSpec, const: np.ndarray) -> np.ndarray:
@@ -136,13 +136,13 @@ def _uniform_ito_multiplier(grid: GridSpec, const: np.ndarray) -> np.ndarray:
 def _transport_2form(
     grid: GridSpec, xi: np.ndarray, grad_xi: np.ndarray | None, F: np.ndarray
 ) -> np.ndarray:
-    return _transport_2form_arr(grid, xi, F, grid.dealias)
+    return _transport_2form_arr(grid, xi, F)
 
 
 def _transport_1form_density(
     grid: GridSpec, xi: np.ndarray, grad_xi: np.ndarray, P: np.ndarray
 ) -> np.ndarray:
-    return -_maybe_truncate(grid, _lie_1form_density_arr(grid, xi, grad_xi, P), None)
+    return -_maybe_truncate(grid, _lie_1form_density_arr(grid, xi, grad_xi, P))
 
 
 # -Lie_xi F by form degree, as kernel(grid, xi, grad_xi, F); grad_xi (layout
@@ -173,13 +173,13 @@ def _mhd_drift_arrays(
         grid.kx * spec[0] + grid.ky * spec[1] + grid.kz * spec[2]
     )  # contract over j
     dP = grid.irfft(dspec)
-    dB = _transport_2form_arr(grid, v, B, grid.dealias)
+    dB = _transport_2form_arr(grid, v, B)
     return dP, dB
 
 
 def _vorticity_drift_arrays(grid: GridSpec, w: np.ndarray) -> np.ndarray:
-    u = _curl_inv_arr(grid, w)
-    return _transport_2form_arr(grid, u, w, grid.dealias)
+    u = curl_inv(grid, w)
+    return _transport_2form_arr(grid, u, w)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +287,9 @@ def make_noise_op(
         if noise.n_modes == 0:
             return tuple(np.zeros_like(a) for a in arrs)
         xi_eff = noise.combine(dW)
-        grad_eff = np.tensordot(dW, noise.grad_stacked(), axes=(0, 0)) if needs_grad else None
+        grad_eff = None
+        if needs_grad:  # a uniform mode's partials vanish
+            grad_eff = np.tensordot(dW[noise.harmonic], noise.harmonic_grads, axes=(0, 0))
         return tuple(t(grid, xi_eff, grad_eff, a) for t, a in zip(transports, arrs))
 
     return g
@@ -309,22 +311,18 @@ def make_ito_correction(
             return tuple(mult * s for s in specs)
 
         return c
-    degrees = [degree for _, degree in model.components]
-    transports = [_TRANSPORT[degree] for degree in degrees]
-    harmonic = noise.nonconstant_indices()
-    needs_grad = ONE_FORM_DENSITY in degrees and bool(harmonic)
+    transports = [_TRANSPORT[degree] for _, degree in model.components]
+    harmonic = [(noise.modes[i], g) for i, g in zip(noise.harmonic, noise.harmonic_grads)]
 
     def c(arrs: Arrays) -> Arrays:
         if noise.n_modes == 0:
             return tuple(np.zeros_like(a) for a in arrs)
-        grads = noise.grad_stacked() if needs_grad else None
         out = []
         for transport, F in zip(transports, arrs):
             total = np.zeros_like(F)
             if len(const):
                 total += grid.irfft(mult * grid.rfft(F))
-            for i in harmonic:
-                xi, grad_xi = noise.xis[i].values, grads[i] if needs_grad else None
+            for xi, grad_xi in harmonic:
                 total += 0.5 * transport(grid, xi, grad_xi, transport(grid, xi, grad_xi, F))
             out.append(total)
         return tuple(out)

@@ -1,6 +1,10 @@
-"""Periodic-box field containers and Fourier pseudo-spectral operators.
+"""The periodic grid and its Fourier pseudo-spectral operators.
 
-Everything lives on a uniform grid over the 3-torus [0,Lx) x [0,Ly) x [0,Lz).
+Everything lives on a uniform grid over the 3-torus [0,Lx) x [0,Ly) x [0,Lz),
+and every field is a bare array: (nx, ny, nz) for a scalar, (3, nx, ny, nz)
+for a vector. Each operator takes (grid, array) and validates nothing; the
+structural preconditions (div-free, zero mean) are checked by one function,
+check_divfree, at the boundaries that need them.
 Differential operators act in spectral space, so the discrete div/curl/grad
 commute exactly and div(curl F) = 0, curl(grad f) = 0 hold to roundoff.
 
@@ -22,7 +26,6 @@ from .errors import ConstraintError
 TWO_PI = 2.0 * np.pi
 
 # Absolute tolerances for structural preconditions on unit-scale fields.
-DIV_FREE_TOL = 1e-10
 CURL_INV_DIV_TOL = 1e-8
 MEAN_MODE_TOL = 1e-10
 
@@ -136,52 +139,18 @@ class GridSpec:
         return np.fft.irfftn(spec, s=self.shape, axes=(-3, -2, -1))
 
 
-@dataclass(frozen=True)
-class ScalarField:
-    """A real scalar sampled on a GridSpec."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.values.shape != self.grid.shape:
-            raise ValueError(
-                f"scalar values shape {self.values.shape} != grid {self.grid.shape}"
-            )
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """A real 3-vector field stored as one (3, nx, ny, nz) array."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.values.shape != (3, *self.grid.shape):
-            raise ValueError(
-                f"vector values shape {self.values.shape} != (3, {self.grid.shape})"
-            )
-
-    def max_norm(self) -> float:
-        """max over the grid of the pointwise Euclidean norm."""
-        return float(np.sqrt(np.max(np.sum(self.values**2, axis=0))))
-
-
 # ---------------------------------------------------------------------------
-# spectral helpers on raw arrays
+# spectral kernels on raw arrays
 
 
-def _truncate(grid: GridSpec, arr: np.ndarray) -> np.ndarray:
-    """Project physical-space samples onto the 2/3 dealias band."""
+def _maybe_truncate(grid: GridSpec, arr: np.ndarray) -> np.ndarray:
+    """Project physical-space samples onto the 2/3 dealias band when the grid
+    dealiases."""
+    if not grid.dealias:
+        return arr
     spec = grid.rfft(arr)
     spec *= grid.dealias_mask
     return grid.irfft(spec)
-
-
-def _maybe_truncate(grid: GridSpec, arr: np.ndarray, dealias: bool | None) -> np.ndarray:
-    use = grid.dealias if dealias is None else dealias
-    return _truncate(grid, arr) if use else arr
 
 
 def _curl_spec(grid: GridSpec, spec: np.ndarray) -> np.ndarray:
@@ -195,28 +164,6 @@ def _curl_spec(grid: GridSpec, spec: np.ndarray) -> np.ndarray:
     )
 
 
-def _curl_arr(grid: GridSpec, arr: np.ndarray, mask: bool = False) -> np.ndarray:
-    spec = grid.rfft(arr)
-    if mask:
-        spec *= grid.dealias_mask
-    return grid.irfft(_curl_spec(grid, spec))
-
-
-def _div_arr(grid: GridSpec, arr: np.ndarray, mask: bool = False) -> np.ndarray:
-    spec = grid.rfft(arr)
-    if mask:
-        spec *= grid.dealias_mask
-    dspec = 1j * (grid.kx * spec[0] + grid.ky * spec[1] + grid.kz * spec[2])
-    return grid.irfft(dspec)
-
-
-def _grad_arr(grid: GridSpec, arr: np.ndarray, mask: bool = False) -> np.ndarray:
-    spec = grid.rfft(arr)
-    if mask:
-        spec *= grid.dealias_mask
-    return grid.irfft(1j * np.stack([grid.kx * spec, grid.ky * spec, grid.kz * spec]))
-
-
 def _grad_vector_arr(grid: GridSpec, arr: np.ndarray) -> np.ndarray:
     """All nine partials of a vector field: out[k, j] = d_k arr[j]."""
     spec = grid.rfft(arr)
@@ -226,24 +173,10 @@ def _grad_vector_arr(grid: GridSpec, arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _curl_inv_arr(grid: GridSpec, B: np.ndarray) -> np.ndarray:
-    """Biot-Savart inverse -curl(Laplacian^-1 B); the zero mode maps to 0."""
-    spec = grid.rfft(B)
-    inv = grid.inv_k2
-    pot = 1j * np.stack(
-        [
-            (grid.ky * spec[2] - grid.kz * spec[1]) * inv,
-            (grid.kz * spec[0] - grid.kx * spec[2]) * inv,
-            (grid.kx * spec[1] - grid.ky * spec[0]) * inv,
-        ]
-    )
-    return grid.irfft(pot)
-
-
-def _transport_2form_arr(grid: GridSpec, xi: np.ndarray, F: np.ndarray, mask: bool) -> np.ndarray:
+def _transport_2form_arr(grid: GridSpec, xi: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Transport of a flux (2-form) field along xi, curl(xi x F): minus its
-    Lie derivative. Every caller but lie2form wants this sign."""
-    return _curl_arr(grid, np.cross(xi, F, axis=0), mask=mask)
+    Lie derivative, truncated when the grid dealiases."""
+    return curl(grid, np.cross(xi, F, axis=0), mask=grid.dealias)
 
 
 def _lie_1form_density_arr(
@@ -256,99 +189,72 @@ def _lie_1form_density_arr(
     """
     out = np.empty_like(P)
     for k in range(3):
-        out[k] = _div_arr(grid, xi * P[k][None])
+        out[k] = div(grid, xi * P[k][None])
     out += np.einsum("j...,kj...->k...", P, grad_xi)
     return out
 
 
 # ---------------------------------------------------------------------------
-# public operators
+# public operators: scalars are (nx, ny, nz) arrays, vectors (3, nx, ny, nz)
 
 
-def grad(f: ScalarField) -> VectorField:
-    return VectorField(f.grid, _grad_arr(f.grid, f.values))
+def grad(grid: GridSpec, f: np.ndarray) -> np.ndarray:
+    spec = grid.rfft(f)
+    return grid.irfft(1j * np.stack([grid.kx * spec, grid.ky * spec, grid.kz * spec]))
 
 
-def div(F: VectorField) -> ScalarField:
-    return ScalarField(F.grid, _div_arr(F.grid, F.values))
+def div(grid: GridSpec, F: np.ndarray) -> np.ndarray:
+    spec = grid.rfft(F)
+    return grid.irfft(1j * (grid.kx * spec[0] + grid.ky * spec[1] + grid.kz * spec[2]))
 
 
-def curl(F: VectorField) -> VectorField:
-    """Spectral curl; div(curl F) vanishes to machine precision."""
-    return VectorField(F.grid, _curl_arr(F.grid, F.values))
+def curl(grid: GridSpec, F: np.ndarray, mask: bool = False) -> np.ndarray:
+    """Spectral curl, on the dealias band with mask=True; div(curl F)
+    vanishes to machine precision."""
+    spec = grid.rfft(F)
+    if mask:
+        spec *= grid.dealias_mask
+    return grid.irfft(_curl_spec(grid, spec))
 
 
-def max_div(F: VectorField) -> float:
-    return float(np.max(np.abs(_div_arr(F.grid, F.values))))
+def max_div(grid: GridSpec, F: np.ndarray) -> float:
+    return float(np.max(np.abs(div(grid, F))))
 
 
-def mean_component(F: VectorField) -> np.ndarray:
-    return F.values.mean(axis=(1, 2, 3))
-
-
-def project_divfree(F: VectorField) -> VectorField:
+def project_divfree(grid: GridSpec, F: np.ndarray) -> np.ndarray:
     """Helmholtz projection onto divergence-free fields; the k=0 (mean)
     component carries no gradient part and is preserved."""
-    grid = F.grid
-    spec = grid.rfft(F.values)
+    spec = grid.rfft(F)
     s = (grid.kx * spec[0] + grid.ky * spec[1] + grid.kz * spec[2]) * grid.inv_k2
     spec[0] -= grid.kx * s
     spec[1] -= grid.ky * s
     spec[2] -= grid.kz * s
-    return VectorField(grid, grid.irfft(spec))
+    return grid.irfft(spec)
 
 
-def curl_inv(B: VectorField, check: bool = True) -> VectorField:
-    """Divergence-free vector potential A with curl A = B.
-
-    Requires div B ~ 0 and a vanishing mean component (the zero mode has no
-    preimage under curl). Returns the unique zero-mean, div-free gauge
-    representative A = -curl(Laplacian^-1 B).
-    """
-    grid = B.grid
-    if check:
-        d = max_div(B)
-        if d > CURL_INV_DIV_TOL:
-            raise ConstraintError(f"curl_inv: max|div B| = {d:.3e} exceeds {CURL_INV_DIV_TOL}")
-        m = float(np.max(np.abs(mean_component(B))))
-        if m > MEAN_MODE_TOL:
-            raise ConstraintError(f"curl_inv: nonzero mean component |{m:.3e}|")
-    return VectorField(grid, _curl_inv_arr(grid, B.values))
-
-
-def lie2form(
-    xi: VectorField,
-    D: VectorField,
-    check: bool = True,
-    dealias: bool | None = None,
-) -> VectorField:
-    """Lie transport of a flux (2-form) field: -curl(xi x D).
-
-    For divergence-free xi and D this equals the vector-field bracket
-    (xi.grad)D - (D.grad)xi; the preconditions keep the two formulas in
-    agreement, and the result is exactly divergence-free (it is a curl).
-    """
-    if check:
-        for name, f in (("xi", xi), ("D", D)):
-            d = max_div(f)
-            if d > DIV_FREE_TOL:
-                raise ConstraintError(
-                    f"lie2form: max|div {name}| = {d:.3e} exceeds {DIV_FREE_TOL}"
-                )
-    grid = xi.grid
-    use = grid.dealias if dealias is None else dealias
-    return VectorField(grid, -_transport_2form_arr(grid, xi.values, D.values, use))
+def curl_inv(grid: GridSpec, B: np.ndarray) -> np.ndarray:
+    """Biot-Savart inverse: the zero-mean, div-free vector potential
+    A = -curl(Laplacian^-1 B), with curl A = B when div B ~ 0 and the mean
+    component of B vanishes (the zero mode has no preimage under curl and
+    maps to 0). check_divfree(..., zero_mean=True) checks both."""
+    spec = grid.rfft(B)
+    inv = grid.inv_k2
+    pot = 1j * np.stack(
+        [
+            (grid.ky * spec[2] - grid.kz * spec[1]) * inv,
+            (grid.kz * spec[0] - grid.kx * spec[2]) * inv,
+            (grid.kx * spec[1] - grid.ky * spec[0]) * inv,
+        ]
+    )
+    return grid.irfft(pot)
 
 
-def evaluate_at_points(
-    field: ScalarField | VectorField, points: np.ndarray
-) -> np.ndarray:
+def evaluate_at_points(grid: GridSpec, f: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Exact Fourier evaluation of a band-limited field at arbitrary points.
 
     points: (m, 3) physical coordinates (wrapped periodically by the phase
-    factors themselves). Returns (m,) for scalars, (m, 3) for vectors.
+    factors themselves). Returns (m,) for a scalar f, (m, 3) for a vector.
     """
-    grid = field.grid
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     kx1 = TWO_PI * np.fft.fftfreq(grid.nx, d=grid.Lx / grid.nx)
     ky1 = TWO_PI * np.fft.fftfreq(grid.ny, d=grid.Ly / grid.ny)
@@ -363,6 +269,31 @@ def evaluate_at_points(
         t = np.einsum("pb,pbc->pc", ey, t)
         return np.einsum("pc,pc->p", ez, t).real
 
-    if isinstance(field, ScalarField):
-        return _eval_one(field.values)
-    return np.stack([_eval_one(field.values[i]) for i in range(3)], axis=-1)
+    if f.ndim == 3:
+        return _eval_one(f)
+    return np.stack([_eval_one(f[i]) for i in range(3)], axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# structural preconditions
+
+
+def check_divfree(
+    grid: GridSpec,
+    F: np.ndarray,
+    caller: str,
+    name: str,
+    tol: float,
+    zero_mean: bool = False,
+) -> float:
+    """Raise ConstraintError, naming the caller and the field, unless
+    max|div F| <= tol and, with zero_mean, F's mean component vanishes (to
+    MEAN_MODE_TOL). Returns max|div F|."""
+    d = max_div(grid, F)
+    if d > tol:
+        raise ConstraintError(f"{caller}: max|div {name}| = {d:.3e} exceeds {tol}")
+    if zero_mean:
+        m = float(np.max(np.abs(F.mean(axis=(1, 2, 3)))))
+        if m > MEAN_MODE_TOL:
+            raise ConstraintError(f"{caller}: nonzero mean component |{m:.3e}|")
+    return d

@@ -13,12 +13,12 @@ studies (refining a path never changes its coarse-level increments).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConstraintError
-from .grid import GridSpec, VectorField, _grad_vector_arr, max_div
+from .grid import GridSpec, _grad_vector_arr, check_divfree
 
 XI_DIV_TOL = 1e-10
 _DRIVER_STREAM = 0
@@ -31,7 +31,7 @@ def make_divfree_mode(
     a: tuple[float, float, float],
     phase: float = 0.0,
     amplitude: float = 1.0,
-) -> VectorField:
+) -> np.ndarray:
     """Single-harmonic transverse mode a_perp cos(k.x + phase).
 
     The amplitude vector is projected onto the plane normal to k, which
@@ -56,90 +56,55 @@ def make_divfree_mode(
         )
     X, Y, Z = grid.meshgrid()
     carrier = np.cos(kphys[0] * X + kphys[1] * Y + kphys[2] * Z + phase)
-    vals = amplitude * aperp[:, None, None, None] * carrier[None]
-    return VectorField(grid, vals)
+    return amplitude * aperp[:, None, None, None] * carrier[None]
 
 
 def make_constant_mode(
     grid: GridSpec, a: tuple[float, float, float], amplitude: float = 1.0
-) -> VectorField:
+) -> np.ndarray:
     avec = amplitude * np.asarray(a, dtype=float)
     if np.linalg.norm(avec) == 0.0:
         raise ConstraintError("constant noise mode with zero amplitude vector")
-    vals = np.broadcast_to(avec[:, None, None, None], (3, *grid.shape)).copy()
-    return VectorField(grid, vals)
+    return np.broadcast_to(avec[:, None, None, None], (3, *grid.shape)).copy()
 
 
-@dataclass(frozen=True)
 class NoiseModel:
-    """The set {xi_i(x)} of divergence-free correlation fields.
+    """The set {xi_i(x)} of divergence-free correlation fields, held as one
+    (n_modes, 3, nx, ny, nz) array.
 
-    constant_flags marks modes that are spatially uniform; those get exact
-    spectral fast paths for the double-Lie-derivative drift corrections.
+    constant_flags marks the modes that are spatially uniform; those get
+    exact spectral fast paths. The others, the harmonic modes (indices
+    `harmonic`), have their partials computed once here, in the layout
+    harmonic_grads[h, k, j] = d_k xi_h^j (a uniform mode's partials vanish).
     """
 
-    grid: GridSpec
-    xis: tuple[VectorField, ...]
-    constant_flags: tuple[bool, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        for i, xi in enumerate(self.xis):
-            d = max_div(xi)
-            if d > XI_DIV_TOL:
-                raise ConstraintError(
-                    f"noise mode {i}: max|div xi| = {d:.3e} exceeds {XI_DIV_TOL}"
-                )
-        if len(self.constant_flags) != len(self.xis):
-            object.__setattr__(
-                self,
-                "constant_flags",
-                tuple(_is_uniform(xi.values) for xi in self.xis),
-            )
+    def __init__(self, grid: GridSpec, modes=()):
+        self.grid = grid
+        self.modes = np.stack(modes) if len(modes) else np.zeros((0, 3, *grid.shape))
+        if self.modes.shape[1:] != (3, *grid.shape):
+            raise ValueError(f"noise modes of shape {self.modes.shape[1:]} on grid {grid.shape}")
+        for i, xi in enumerate(self.modes):
+            check_divfree(grid, xi, f"noise mode {i}", "xi", XI_DIV_TOL)
+        self.constant_flags = tuple(_is_uniform(xi) for xi in self.modes)
+        self.harmonic = [i for i, const in enumerate(self.constant_flags) if not const]
+        self.harmonic_grads = (
+            np.stack([_grad_vector_arr(grid, self.modes[i]) for i in self.harmonic])
+            if self.harmonic
+            else np.zeros((0, 3, 3, *grid.shape))
+        )
 
     @property
     def n_modes(self) -> int:
-        return len(self.xis)
-
-    @classmethod
-    def empty(cls, grid: GridSpec) -> "NoiseModel":
-        return cls(grid, ())
-
-    @classmethod
-    def from_modes(cls, grid: GridSpec, xis: list[VectorField]) -> "NoiseModel":
-        return cls(grid, tuple(xis))
-
-    def stacked(self) -> np.ndarray:
-        """(n_modes, 3, nx, ny, nz) view of all modes."""
-        if not hasattr(self, "_stacked"):
-            object.__setattr__(
-                self, "_stacked", np.stack([xi.values for xi in self.xis])
-            )
-        return self._stacked
+        return len(self.modes)
 
     def combine(self, weights: np.ndarray) -> np.ndarray:
         """Pointwise sum_i weights[i] * xi_i(x), shape (3, nx, ny, nz)."""
-        return np.tensordot(np.asarray(weights), self.stacked(), axes=(0, 0))
-
-    def grad_stacked(self) -> np.ndarray:
-        """Cached partials, layout [mode, k, j] = d_k xi_mode^j."""
-        if not hasattr(self, "_grads"):
-            grads = np.stack(
-                [_grad_vector_arr(self.grid, xi.values) for xi in self.xis]
-            )
-            object.__setattr__(self, "_grads", grads)
-        return self._grads
+        return np.tensordot(np.asarray(weights), self.modes, axes=(0, 0))
 
     def constant_vectors(self) -> np.ndarray:
         """(n_const, 3) uniform values of the constant modes."""
-        vecs = [
-            self.xis[i].values[:, 0, 0, 0]
-            for i in range(self.n_modes)
-            if self.constant_flags[i]
-        ]
-        return np.array(vecs) if vecs else np.zeros((0, 3))
-
-    def nonconstant_indices(self) -> list[int]:
-        return [i for i in range(self.n_modes) if not self.constant_flags[i]]
+        const = [i for i, c in enumerate(self.constant_flags) if c]
+        return self.modes[const, :, 0, 0, 0]
 
 
 def _is_uniform(vals: np.ndarray) -> bool:

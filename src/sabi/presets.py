@@ -14,7 +14,7 @@ import numpy as np
 
 from .dynamics import Arrays
 from .errors import ConfigError
-from .grid import TWO_PI, GridSpec, VectorField, _curl_arr, _truncate, project_divfree
+from .grid import TWO_PI, GridSpec, _maybe_truncate, curl, project_divfree
 
 PRESET_MODELS = {
     "plane-wave": ("em",),
@@ -59,7 +59,7 @@ def _preset_rng(seed: int, salt: int) -> np.random.Generator:
 def random_divfree_field(
     grid: GridSpec, seed: int, salt: int, kmax: int, amplitude: float,
     divfree: bool = True,
-) -> VectorField:
+) -> np.ndarray:
     """Zero-mean random field with |k_i| <= kmax, scaled to a max pointwise
     norm of `amplitude`."""
     rng = _preset_rng(seed, salt)
@@ -71,13 +71,12 @@ def random_divfree_field(
     spec *= mx[:, None, None] & my[None, :, None] & mz[None, None, :]
     spec[..., 0, 0, 0] = 0.0
     vals = grid.irfft(spec)
-    field = VectorField(grid, vals)
     if divfree:
-        field = project_divfree(field)
-    scale = field.max_norm()
+        vals = project_divfree(grid, vals)
+    scale = float(np.sqrt(np.max(np.sum(vals**2, axis=0))))
     if scale == 0.0:
         raise ConfigError("initial.kmax: no modes survive the band limit")
-    return VectorField(grid, field.values * (amplitude / scale))
+    return vals * (amplitude / scale)
 
 
 def plane_wave(grid: GridSpec, amplitude: float, k: int = 1) -> Arrays:
@@ -100,7 +99,7 @@ def taylor_green(grid: GridSpec, amplitude: float) -> Arrays:
             np.zeros_like(X),
         ]
     )
-    return (_curl_arr(grid, u),)
+    return (curl(grid, u),)
 
 
 def abc_field(grid: GridSpec, amplitude: float) -> Arrays:
@@ -134,15 +133,14 @@ def helical_orthogonal(
     B = np.stack([np.cos(Z), np.sin(Z), np.zeros_like(Z)])
     if amplitude > 0.0:
         pert = random_divfree_field(grid, seed, salt=1, kmax=kmax, amplitude=amplitude)
-        B = B + pert.values
+        B = B + pert
     w = random_divfree_field(
         grid, seed, salt=2, kmax=kmax, amplitude=momentum_amplitude, divfree=False
     )
-    P = np.cross(w.values, B, axis=0)
-    P = _truncate(grid, P) if grid.dealias else P
+    P = _maybe_truncate(grid, np.cross(w, B, axis=0))
     # re-orthogonalize after truncation so the monitored constraint starts at
     # roundoff rather than at spectral-tail level
-    B_t = _truncate(grid, B) if grid.dealias else B
+    B_t = _maybe_truncate(grid, B)
     h2 = np.sum(B_t * B_t, axis=0)
     P = P - B_t * (np.sum(P * B_t, axis=0) / h2)[None]
     return (P, B_t)
@@ -172,12 +170,11 @@ def build_initial_state(
     if model_kind == "em":
         D = random_divfree_field(grid, seed, salt=3, kmax=kmax, amplitude=amplitude)
         B = random_divfree_field(grid, seed, salt=4, kmax=kmax, amplitude=amplitude)
-        return (D.values, B.values)
+        return (D, B)
     if model_kind == "mhd":
         P = random_divfree_field(
             grid, seed, salt=5, kmax=kmax, amplitude=amplitude, divfree=False
         )
         B = random_divfree_field(grid, seed, salt=6, kmax=kmax, amplitude=amplitude)
-        return (P.values, B.values)
-    w = random_divfree_field(grid, seed, salt=7, kmax=kmax, amplitude=amplitude)
-    return (w.values,)
+        return (P, B)
+    return (random_divfree_field(grid, seed, salt=7, kmax=kmax, amplitude=amplitude),)

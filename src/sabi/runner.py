@@ -29,7 +29,7 @@ from .dynamics import (
     sum_drifts,
 )
 from .errors import NumericalError
-from .grid import GridSpec, _curl_inv_arr
+from .grid import GridSpec, curl_inv
 from .integrators import check_finite, euler_maruyama_step, heun_stratonovich_step, rk4_step
 from .noise import NoiseModel, WienerDriver
 from .outputs import (
@@ -155,7 +155,7 @@ def run_member(
     def velocity() -> np.ndarray | None:
         """u = curl^-1 w of a vorticity state, shared by a sample's
         diagnostics and its CFL check."""
-        return _curl_inv_arr(grid, arrs[0]) if model.kind == "vorticity" else None
+        return curl_inv(grid, arrs[0]) if model.kind == "vorticity" else None
 
     def sample(step: int, u: np.ndarray | None) -> None:
         rec = collect_record(model, grid, arrs, time=step * dt, u=u)

@@ -26,7 +26,7 @@ from .diagnostics import (
     loop_circulation,
     lp_bracket_check,
 )
-from .dynamics import get_model, make_drift, make_noise_op
+from .dynamics import _TRANSPORT, TWO_FORM, get_model, make_drift, make_noise_op
 from .em_fields import (
     bi_closure,
     bi_density,
@@ -35,16 +35,7 @@ from .em_fields import (
     momentum_map_pairing,
 )
 from .errors import ConfigError
-from .grid import (
-    GridSpec,
-    ScalarField,
-    VectorField,
-    _grad_vector_arr,
-    curl,
-    grad,
-    lie2form,
-    max_div,
-)
+from .grid import GridSpec, _grad_vector_arr, curl, grad, max_div
 from .integrators import heun_stratonovich_step, rk4_step
 from .noise import DyadicBrownianPath, NoiseModel, make_constant_mode, make_divfree_mode
 from .presets import random_divfree_field
@@ -92,9 +83,7 @@ class SuiteReport:
 
 def _band_limited(grid, seed, kmax, amplitude=1.0, vector=True, divfree=False):
     f = random_divfree_field(grid, seed, salt=9, kmax=kmax, amplitude=amplitude, divfree=divfree)
-    if vector:
-        return f
-    return ScalarField(grid, f.values[0])
+    return f if vector else f[0]
 
 
 # ---------------------------------------------------------------------------
@@ -105,21 +94,22 @@ def suite_operators(grid_n: int = 32, **_) -> SuiteReport:
     rep = SuiteReport("operators")
     grid = GridSpec(grid_n, grid_n, grid_n)
     F = _band_limited(grid, seed=101, kmax=grid.dealias_keep[0])
-    rep.check("div-curl", max_div(curl(F)), 1e-12)
+    rep.check("div-curl", max_div(grid, curl(grid, F)), 1e-12)
     f = _band_limited(grid, seed=102, kmax=grid.dealias_keep[0], vector=False)
-    rep.check("curl-grad", curl(grad(f)).max_norm(), 1e-12)
+    cg = curl(grid, grad(grid, f))
+    rep.check("curl-grad", float(np.sqrt(np.max(np.sum(cg**2, axis=0)))), 1e-12)
 
-    # bracket form needs products to stay below Nyquist: kmax <= n/8
+    # bracket form needs products to stay below Nyquist: kmax <= n/8; the
+    # Lie derivative is minus the 2-form transport, untruncated
     kb = max(2, grid_n // 8)
     xi = _band_limited(grid, seed=103, kmax=kb, divfree=True)
     D = _band_limited(grid, seed=104, kmax=kb, divfree=True)
-    out = lie2form(xi, D, dealias=False)
-    gxi = _grad_vector_arr(grid, xi.values)
-    gD = _grad_vector_arr(grid, D.values)
-    bracket = np.einsum("j...,jk...->k...", xi.values, gD) - np.einsum(
-        "j...,jk...->k...", D.values, gxi
-    )
-    rep.check("transport-vs-bracket", float(np.max(np.abs(out.values - bracket))), 1e-10)
+    raw = GridSpec(grid_n, grid_n, grid_n, dealias=False)
+    out = -_TRANSPORT[TWO_FORM](raw, xi, None, D)
+    gxi = _grad_vector_arr(grid, xi)
+    gD = _grad_vector_arr(grid, D)
+    bracket = np.einsum("j...,jk...->k...", xi, gD) - np.einsum("j...,jk...->k...", D, gxi)
+    rep.check("transport-vs-bracket", float(np.max(np.abs(out - bracket))), 1e-10)
     return rep
 
 
@@ -130,7 +120,7 @@ def suite_variational_derivatives(grid_n: int = 8, **_) -> SuiteReport:
     grid = GridSpec(grid_n, grid_n, grid_n)
     D = _band_limited(grid, seed=111, kmax=2, amplitude=0.4, divfree=True)
     B = _band_limited(grid, seed=112, kmax=2, amplitude=0.4, divfree=True)
-    _, _, E, H = bi_closure(D.values, B.values)
+    _, _, E, H = bi_closure(D, B)
     eps = 1e-6
 
     def functional(Dv, Bv):
@@ -139,8 +129,8 @@ def suite_variational_derivatives(grid_n: int = 8, **_) -> SuiteReport:
 
     worst = {"E": 0.0, "H": 0.0}
     for label, base, other, deriv, d_first in (
-        ("E", D.values, B.values, E, True),
-        ("H", B.values, D.values, H, False),
+        ("E", D, B, E, True),
+        ("H", B, D, H, False),
     ):
         scale = float(np.max(np.abs(deriv)))
         for c in range(3):
@@ -233,9 +223,9 @@ def _energy_error_scan(
     grid = GridSpec(grid_n, grid_n, grid_n)
     D = _band_limited(grid, seed=121, kmax=2, amplitude=amplitude, divfree=True)
     B = _band_limited(grid, seed=122, kmax=2, amplitude=amplitude, divfree=True)
-    noise = NoiseModel.from_modes(grid, [noise_mode(grid)])
+    noise = NoiseModel(grid, [noise_mode(grid)])
     model = get_model("bi-stratonovich")
-    state0 = (D.values, B.values)
+    state0 = (D, B)
 
     def energy(arrs):
         return float(np.mean(bi_density(*arrs)[0])) * grid.volume
@@ -424,17 +414,17 @@ def suite_pure_transport(grid_n: int = 16, **_) -> SuiteReport:
     grid = GridSpec(grid_n, grid_n, grid_n)
     sigma, t_end = 0.5, 0.5
     D0 = _band_limited(grid, seed=131, kmax=2, amplitude=0.4, divfree=True)
-    noise = NoiseModel.from_modes(grid, [make_constant_mode(grid, (sigma, 0, 0))])
+    noise = NoiseModel(grid, [make_constant_mode(grid, (sigma, 0, 0))])
     g = make_noise_op(get_model("bi-stratonovich"), grid, noise)
     zero_drift = lambda arrs: tuple(np.zeros_like(a) for a in arrs)
-    spec0 = grid.rfft(D0.values)
+    spec0 = grid.rfft(D0)
 
     def strong_error(arrs, dWs):
         exact = grid.irfft(spec0 * np.exp(-1j * grid.kx * (sigma * float(dWs.sum()))))
         return float(np.sqrt(np.mean((arrs[0] - exact) ** 2)))
 
     errors, slope = _heun_error_scan(
-        (D0.values,), zero_drift, g, strong_error, 3002, (16, 32, 64, 128, 256), 8, t_end
+        (D0,), zero_drift, g, strong_error, 3002, (16, 32, 64, 128, 256), 8, t_end
     )
     rep.notes.append(
         "strong errors: " + ", ".join(f"{e:.3e}" for e in errors)
@@ -484,17 +474,17 @@ def suite_hamiltonian_structure(grid_n: int = 16, **_) -> SuiteReport:
     D = _band_limited(grid, seed=142, kmax=3, divfree=True)
     xi = _band_limited(grid, seed=143, kmax=3, divfree=True)
     eta = _band_limited(grid, seed=144, kmax=3, divfree=True)
-    lhs, rhs = momentum_map_pairing(A, D, xi)
+    lhs, rhs = momentum_map_pairing(grid, A, D, xi)
     rep.check("momentum-map-pairing", abs(lhs - rhs) / max(abs(lhs), 1e-14), 1e-8)
 
-    blhs, brhs = lp_bracket_check(D, A, xi, eta)
+    blhs, brhs = lp_bracket_check(grid, D, A, xi, eta)
     rep.check("bracket-identity", abs(blhs - brhs) / max(abs(blhs), 1e-14), 1e-8)
 
     X, Y, _ = grid.meshgrid()
     zero = np.zeros_like(X)
-    xi2 = VectorField(grid, np.stack([zero, np.cos(X), zero]))
-    eta2 = VectorField(grid, np.stack([zero, zero, np.cos(Y)]))
-    blhs2, brhs2 = lp_bracket_check(D, A, xi2, eta2)
+    xi2 = np.stack([zero, np.cos(X), zero])
+    eta2 = np.stack([zero, zero, np.cos(Y)])
+    blhs2, brhs2 = lp_bracket_check(grid, D, A, xi2, eta2)
     rep.check("bracket-harmonic-pair", abs(blhs2 - brhs2) / max(abs(blhs2), 1e-14), 1e-8)
 
     big = GridSpec(32, 32, 32)
@@ -502,7 +492,7 @@ def suite_hamiltonian_structure(grid_n: int = 16, **_) -> SuiteReport:
     B_big = _band_limited(big, seed=146, kmax=2, amplitude=0.3, divfree=True)
     rep.check(
         "momentum-equation-residual",
-        km_bracket_residual(big, D_big.values, B_big.values),
+        km_bracket_residual(big, D_big, B_big),
         1e-6,
     )
     return rep
@@ -518,16 +508,14 @@ def _kelvin_residual(grid_n: int, n_steps: int, n_loop: int, stochastic: bool = 
     seed, amplitude = (161, 0.3) if stochastic else (151, 0.15)
     D = _band_limited(grid, seed=seed, kmax=2, amplitude=amplitude, divfree=True)
     B = _band_limited(grid, seed=seed + 1, kmax=2, amplitude=amplitude, divfree=True)
-    arrs = (D.values, B.values)
+    arrs = (D, B)
     drift = make_drift(get_model("bi"), grid)
     t_end = 0.25
     dt = t_end / n_steps
     noise = None
     dWs = [None] * n_steps
     if stochastic:
-        noise = NoiseModel.from_modes(
-            grid, [make_divfree_mode(grid, k=(0, 0, 1), a=(0.2, 0, 0))]
-        )
+        noise = NoiseModel(grid, [make_divfree_mode(grid, k=(0, 0, 1), a=(0.2, 0, 0))])
         g = make_noise_op(get_model("bi-stratonovich"), grid, noise)
         path = DyadicBrownianPath(seed=3003, member_index=0, n_modes=1, t_end=t_end)
         dWs = path.increments(n_steps)  # ValueError unless a power of two
@@ -536,23 +524,23 @@ def _kelvin_residual(grid_n: int, n_steps: int, n_loop: int, stochastic: bool = 
     def fields_of(arrs):
         Hd, P = bi_density(*arrs)
         v, gam, bet = hydro_variables(*arrs, Hd, P)
-        return VectorField(grid, v), VectorField(grid, hydro_force(grid, gam, bet))
+        return v, hydro_force(grid, gam, bet)
 
     v, force = fields_of(arrs)
-    circ0 = loop_circulation(loop, v)
+    circ0 = loop_circulation(grid, loop, v)
     force_integral = 0.0
     for dW in dWs:
-        f_prev = loop_circulation(loop, force)
+        f_prev = loop_circulation(grid, loop, force)
         if dW is None:
             new_arrs = rk4_step(arrs, drift, dt)
         else:
             new_arrs = heun_stratonovich_step(arrs, drift, g, dt, dW)
         v_new, force_new = fields_of(new_arrs)
-        loop = advect_loop(loop, v, dt, v_end=v_new, noise=noise, dW=dW)
-        f_next = loop_circulation(loop, force_new)
+        loop = advect_loop(grid, loop, v, dt, v_end=v_new, noise=noise, dW=dW)
+        f_next = loop_circulation(grid, loop, force_new)
         force_integral += 0.5 * (f_prev + f_next) * dt
         arrs, v, force = new_arrs, v_new, force_new
-    circ1 = loop_circulation(loop, v)
+    circ1 = loop_circulation(grid, loop, v)
     return abs(circ1 - circ0 + force_integral)
 
 

@@ -309,19 +309,19 @@ class TestRunOutputs:
         assert np.max(np.abs(s[0] - d[0])) < 1e-9  # heun vs rk4 at tiny dt
 
     def test_noise_model_built_once_per_config(self, tmp_path, monkeypatch):
-        # building the noise model costs a forward and an inverse transform
-        # per mode; parse_config builds it (to reject bad modes at load
+        # building the noise model costs a divergence check per mode and the
+        # harmonic modes' partials; parse_config builds it (to reject bad modes at load
         # time), and the run reuses that build, as does a resume of the run
         # (in a fresh process the resume's own parse_config builds it once)
         _noise_model.cache_clear()
         builds = []
-        original = NoiseModel.__post_init__
+        original = NoiseModel.__init__
 
-        def counting(self):
-            builds.append(self.n_modes)
-            original(self)
+        def counting(self, grid, modes=()):
+            builds.append(len(modes))
+            original(self, grid, modes)
 
-        monkeypatch.setattr(NoiseModel, "__post_init__", counting)
+        monkeypatch.setattr(NoiseModel, "__init__", counting)
         cfg = parse_config(
             json.loads(
                 quick_run_config(
@@ -346,13 +346,13 @@ class TestRunOutputs:
         # a sample's diagnostics and its CFL check share one u = curl^-1 w
         calls = []
         for module in (sabi.runner, sabi.diagnostics):
-            original = module._curl_inv_arr
+            original = module.curl_inv
 
             def counting(grid, w, original=original):
                 calls.append(w.shape)
                 return original(grid, w)
 
-            monkeypatch.setattr(module, "_curl_inv_arr", counting)
+            monkeypatch.setattr(module, "curl_inv", counting)
         cfg = load_config(
             quick_run_config(
                 tmp_path,

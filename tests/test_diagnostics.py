@@ -25,8 +25,9 @@ from sabi.diagnostics import (
 )
 from sabi.config import parse_config
 from sabi.dynamics import _MODELS, get_model
+from sabi.em_fields import momentum_map_pairing
 from sabi.errors import ConstraintError, NumericalError
-from sabi.grid import GridSpec, VectorField, curl, curl_inv, grad
+from sabi.grid import GridSpec, curl, curl_inv, grad
 from sabi.noise import NoiseModel, make_constant_mode
 from sabi.runner import initial_arrays
 
@@ -71,49 +72,44 @@ class TestIntegrals:
 class TestHelicity:
     def test_single_mode_zero(self, grid):
         X, _, _ = grid.meshgrid()
-        B = VectorField(grid, np.stack([0 * X, 0 * X, np.cos(X)]))
-        assert abs(magnetic_helicity(B)) < 1e-12
+        B = np.stack([0 * X, 0 * X, np.cos(X)])
+        assert abs(magnetic_helicity(grid, B)) < 1e-12
 
     def test_swirl_field_value(self, grid):
         X, Y, Z = grid.meshgrid()
-        A = VectorField(
-            grid,
-            np.stack(
-                [np.sin(Z) + np.cos(Y), np.sin(X) + np.cos(Z), np.sin(Y) + np.cos(X)]
-            ),
-        )
-        B = curl(A)  # equals A: curl eigenfield with eigenvalue 1
-        assert magnetic_helicity(B) == pytest.approx(3.0 * VOL, rel=1e-10)
+        A = np.stack([np.sin(Z) + np.cos(Y), np.sin(X) + np.cos(Z), np.sin(Y) + np.cos(X)])
+        B = curl(grid, A)  # equals A: curl eigenfield with eigenvalue 1
+        assert magnetic_helicity(grid, B) == pytest.approx(3.0 * VOL, rel=1e-10)
 
     def test_gauge_invariance(self, grid):
         B = random_band_limited(grid, seed=2, kmax=3, divfree=True)
-        base = magnetic_helicity(B)
-        A = curl_inv(B)
+        base = magnetic_helicity(grid, B)
         psi = random_band_limited(grid, seed=3, kmax=3, vector=False)
-        shifted = VectorField(grid, A.values + grad(psi).values)
-        alt = float(np.mean(np.sum(shifted.values * B.values, axis=0))) * VOL
+        shifted = curl_inv(grid, B) + grad(grid, psi)
+        alt = float(np.mean(np.sum(shifted * B, axis=0))) * VOL
         assert abs(alt - base) < 1e-10 * max(abs(base), 1e-10)
 
     def test_rejects_unbalanced_field(self, grid):
+        # the MHD sample checks curl_inv's precondition before the helicity
+        P, B = helical_orthogonal_state(grid, seed=4)
         f = random_band_limited(grid, seed=4, kmax=2, vector=False)
-        with pytest.raises(ConstraintError):
-            magnetic_helicity(grad(f))
+        with pytest.raises(ConstraintError, match="curl_inv"):
+            collect_record(get_model("mhd"), grid, (P, B + grad(grid, f)), time=0.0)
 
 
 class TestLoops:
     def test_uniform_velocity_zero_circulation(self, grid):
         vals = np.zeros((3, *grid.shape))
         vals[0] = 0.7
-        v = VectorField(grid, vals)
         loop = TracerLoop.circle((np.pi, np.pi, np.pi), 1.0, 64)
-        assert abs(loop_circulation(loop, v)) < 1e-12
+        assert abs(loop_circulation(grid, loop, vals)) < 1e-12
 
     def test_square_loop_stokes_value(self, grid):
         # v = (-sin y, 0, 0): circulation over the unit square starting at
         # y0=1 equals sin(2) - sin(1); edge values are constant, so the
         # polygon quadrature is exact
         _, Y, _ = grid.meshgrid()
-        v = VectorField(grid, np.stack([-np.sin(Y), 0 * Y, 0 * Y]))
+        v = np.stack([-np.sin(Y), 0 * Y, 0 * Y])
         y0, n_side = 1.0, 8
         t = np.linspace(0.0, 1.0, n_side, endpoint=False)
         bottom = np.stack([1.0 + t, np.full_like(t, y0), np.full_like(t, 3.0)], axis=1)
@@ -121,14 +117,14 @@ class TestLoops:
         top = np.stack([2.0 - t, np.full_like(t, y0 + 1.0), np.full_like(t, 3.0)], axis=1)
         left = np.stack([np.full_like(t, 1.0), y0 + 1.0 - t, np.full_like(t, 3.0)], axis=1)
         loop = TracerLoop(np.concatenate([bottom, right, top, left]))
-        got = loop_circulation(loop, v)
+        got = loop_circulation(grid, loop, v)
         assert got == pytest.approx(np.sin(2.0) - np.sin(1.0), abs=1e-12)
 
     def test_circle_loop_stokes_quadrature(self, grid):
         # independent oracle: 2-D polar quadrature of curl v over the disk;
         # the polygon value converges to it at the chord rate O(n^-2)
         _, Y, _ = grid.meshgrid()
-        v = VectorField(grid, np.stack([-np.sin(Y), 0 * Y, 0 * Y]))
+        v = np.stack([-np.sin(Y), 0 * Y, 0 * Y])
         r0 = 1.3
         rr = np.linspace(0.0, r0, 2000)
         th = np.linspace(0.0, TWO_PI, 2000, endpoint=False)
@@ -139,25 +135,22 @@ class TestLoops:
         errs = []
         for n in (256, 1024):
             loop = TracerLoop.circle((np.pi, np.pi, np.pi), r0, n)
-            errs.append(abs(loop_circulation(loop, v) - flux))
+            errs.append(abs(loop_circulation(grid, loop, v) - flux))
         assert errs[0] < 2e-3
         assert errs[1] < errs[0] / 8.0  # 4x finer polygon: ~16x smaller error
 
     def test_advect_uniform_translation(self, grid):
         vals = np.zeros((3, *grid.shape))
         vals[1] = 0.5
-        v = VectorField(grid, vals)
         loop = TracerLoop.circle((np.pi, np.pi, np.pi), 1.0, 32)
-        out = advect_loop(loop, v, dt=0.2)
+        out = advect_loop(grid, loop, vals, dt=0.2)
         expected = loop.points + np.array([0.0, 0.1, 0.0])
         assert np.max(np.abs(out.points - expected)) < 1e-13
 
     def test_advect_with_shared_noise_increment(self, grid):
-        noise = NoiseModel.from_modes(grid, [make_constant_mode(grid, (1.0, 0, 0))])
+        noise = NoiseModel(grid, [make_constant_mode(grid, (1.0, 0, 0))])
         loop = TracerLoop.circle((np.pi, np.pi, np.pi), 1.0, 32)
-        out = advect_loop(
-            loop, VectorField(grid, np.zeros((3, *grid.shape))), dt=0.1, noise=noise, dW=np.array([0.25])
-        )
+        out = advect_loop(grid, loop, zeros(grid), dt=0.1, noise=noise, dW=np.array([0.25]))
         expected = loop.points + np.array([0.25, 0.0, 0.0])
         assert np.max(np.abs(out.points - expected)) < 1e-13
 
@@ -167,7 +160,7 @@ class TestBracketChecks:
         D = random_band_limited(grid, seed=5, kmax=3, divfree=True)
         A = random_band_limited(grid, seed=6, kmax=3)
         xi = random_band_limited(grid, seed=7, kmax=3, divfree=True)
-        lhs, rhs = lp_bracket_check(D, A, xi, xi)
+        lhs, rhs = lp_bracket_check(grid, D, A, xi, xi)
         assert lhs == 0.0
         assert abs(rhs) < 1e-11
 
@@ -176,7 +169,7 @@ class TestBracketChecks:
         A = random_band_limited(grid, seed=9, kmax=3)
         xi = make_constant_mode(grid, (1.0, 0.0, 0.0))
         eta = make_constant_mode(grid, (0.0, 1.0, 0.0))
-        lhs, rhs = lp_bracket_check(D, A, xi, eta)
+        lhs, rhs = lp_bracket_check(grid, D, A, xi, eta)
         assert abs(lhs) < 1e-11
         assert abs(rhs) < 1e-11
 
@@ -187,7 +180,7 @@ class TestBracketChecks:
         A = random_band_limited(g, seed=11, kmax=3)
         xi = random_band_limited(g, seed=12, kmax=3, divfree=True)
         eta = random_band_limited(g, seed=13, kmax=3, divfree=True)
-        lhs, rhs = lp_bracket_check(D, A, xi, eta)
+        lhs, rhs = lp_bracket_check(g, D, A, xi, eta)
         assert abs(lhs - rhs) < 1e-8 * max(abs(lhs), 1e-14)
         assert abs(lhs) > 1e-6  # the check is not vacuous
 
@@ -249,7 +242,6 @@ class TestVorticityKelvin:
         # deterministic specialization: the circulation of u around a loop
         # advected with u is an invariant of the vorticity dynamics
         from sabi.dynamics import get_model, make_drift
-        from sabi.grid import _curl_inv_arr
         from sabi.integrators import rk4_step
         from sabi.presets import taylor_green
 
@@ -259,15 +251,15 @@ class TestVorticityKelvin:
         for n_steps, n_loop in ((20, 128), (40, 256)):
             dt = 0.2 / n_steps
             arrs = (taylor_green(grid, amplitude=1.0)[0].copy(),)
-            u = VectorField(grid, _curl_inv_arr(grid, arrs[0]))
+            u = curl_inv(grid, arrs[0])
             loop = TracerLoop.circle((np.pi / 2, np.pi / 2, 1.0), 0.8, n_loop)
-            c0 = loop_circulation(loop, u)
+            c0 = loop_circulation(grid, loop, u)
             for _ in range(n_steps):
                 new = rk4_step(arrs, drift, dt)
-                u_new = VectorField(grid, _curl_inv_arr(grid, new[0]))
-                loop = advect_loop(loop, u, dt, v_end=u_new)
+                u_new = curl_inv(grid, new[0])
+                loop = advect_loop(grid, loop, u, dt, v_end=u_new)
                 arrs, u = new, u_new
-            drifts.append(abs(loop_circulation(loop, u) - c0) / abs(c0))
+            drifts.append(abs(loop_circulation(grid, loop, u) - c0) / abs(c0))
         assert drifts[0] < 1e-6
         assert drifts[1] < drifts[0] / 3.0  # O(dt^2 + n^-2) refinement
 
@@ -293,9 +285,26 @@ class TestRecords:
         assert rec.pb_orth is not None and rec.pb_orth < 1e-12
         assert rec.helicity is not None
 
+    def test_mhd_sample_computes_div_b_once(self, grid, monkeypatch):
+        # max|div B| (4 scalar transforms) serves both the div_b column and
+        # the helicity's curl_inv precondition; curl_inv itself takes 6
+        s = helical_orthogonal_state(grid, seed=20)
+        transforms = []
+        for name in ("rfft", "irfft"):
+            original = getattr(GridSpec, name)
+
+            def counting(self, arr, *args, _original=original):
+                transforms.append(int(np.prod(arr.shape[:-3])))
+                return _original(self, arr, *args)
+
+            monkeypatch.setattr(GridSpec, name, counting)
+        rec = collect_record(get_model("mhd"), grid, s, time=0.0)
+        assert sum(transforms) == 10
+        assert rec.div_b < 1e-10 and rec.helicity is not None
+
     def test_collect_vorticity(self, grid):
         w = random_band_limited(grid, seed=18, kmax=2, divfree=True)
-        rec = collect_record(get_model("euler-vorticity"), grid, (w.values,), time=0.0)
+        rec = collect_record(get_model("euler-vorticity"), grid, (w,), time=0.0)
         assert rec.energy > 0.0
 
     def test_pb_orthogonality_exact_at_start(self, grid):
@@ -332,3 +341,40 @@ def test_collect_record_dispatches_on_model(name):
         expected = bi if name.startswith("bi") else maxwell
         assert rec.energy == pytest.approx(expected, rel=1e-12)
         assert abs(bi - maxwell) > 0.5 * VOL
+
+
+@pytest.mark.parametrize(
+    "boundary, violation, message",
+    [
+        pytest.param("noise", "div", r"noise mode 0: max\|div xi\| .* exceeds 1e-10", id="noise"),
+        pytest.param("mhd", "div", r"curl_inv: max\|div B\| .* exceeds 1e-08", id="curl-inv-div"),
+        pytest.param("mhd", "mean", r"curl_inv: nonzero mean component", id="curl-inv-mean"),
+        pytest.param(
+            "pairing", "div", r"momentum_map_pairing: max\|div D\| .* exceeds 1e-08", id="pairing"
+        ),
+        pytest.param(
+            "bracket", "div", r"lp_bracket_check: max\|div D\| .* exceeds 1e-08", id="bracket"
+        ),
+    ],
+)
+def test_constraint_boundary_names_its_caller(grid, boundary, violation, message):
+    # grid.check_divfree is the one div-free and mean-mode check; each
+    # boundary keeps its tolerance and names itself in the error. The MHD
+    # sample is where curl_inv's precondition is checked.
+    P, B = helical_orthogonal_state(grid, seed=41)
+    A = random_band_limited(grid, seed=42, kmax=3)
+    xi = random_band_limited(grid, seed=43, kmax=3, divfree=True)
+    call = {
+        "noise": lambda F: NoiseModel(grid, [F]),
+        "mhd": lambda F: collect_record(get_model("mhd"), grid, (P, F), time=0.0),
+        "pairing": lambda F: momentum_map_pairing(grid, A, F, xi),
+        "bracket": lambda F: lp_bracket_check(grid, F, A, xi, xi),
+    }[boundary]
+    good = B if boundary == "mhd" else random_band_limited(grid, seed=44, kmax=3, divfree=True)
+    if violation == "div":
+        bad = good + grad(grid, random_band_limited(grid, seed=45, kmax=3, vector=False))
+    else:
+        bad = good + np.array([0.0, 0.0, 0.5])[:, None, None, None]
+    call(good)  # the div-free, zero-mean input passes
+    with pytest.raises(ConstraintError, match=message):
+        call(bad)

@@ -25,9 +25,9 @@ class TestDivfreeModes:
     def test_transverse_single_mode(self, grid):
         xi = make_divfree_mode(grid, k=(1, 0, 0), a=(0, 1, 0))
         X, _, _ = grid.meshgrid()
-        assert np.max(np.abs(xi.values[1] - np.cos(X))) < 1e-13
-        assert np.max(np.abs(xi.values[0])) < 1e-13
-        assert max_div(xi) < 1e-12
+        assert np.max(np.abs(xi[1] - np.cos(X))) < 1e-13
+        assert np.max(np.abs(xi[0])) < 1e-13
+        assert max_div(grid, xi) < 1e-12
 
     def test_parallel_amplitude_rejected(self, grid):
         with pytest.raises(ConstraintError, match="divergence-free"):
@@ -40,31 +40,32 @@ class TestDivfreeModes:
     def test_mode_energy(self, grid):
         # a = (0,0,1) is already normal to k = (1,1,0): int cos^2 = vol/2
         xi = make_divfree_mode(grid, k=(1, 1, 0), a=(0, 0, 1))
-        assert max_div(xi) < 1e-12
-        energy = float(np.mean(np.sum(xi.values**2, axis=0))) * grid.volume
+        assert max_div(grid, xi) < 1e-12
+        energy = float(np.mean(np.sum(xi**2, axis=0))) * grid.volume
         assert energy == pytest.approx(0.5 * TWO_PI**3, rel=1e-12)
 
     def test_oblique_projection(self, grid):
         xi = make_divfree_mode(grid, k=(1, 2, 0), a=(1.0, 0.5, 0.3))
-        assert max_div(xi) < 1e-11
+        assert max_div(grid, xi) < 1e-11
 
     def test_constant_mode(self, grid):
         xi = make_constant_mode(grid, a=(0.5, 0, 0))
-        assert np.all(xi.values[0] == 0.5)
-        assert max_div(xi) < 1e-14
+        assert np.all(xi[0] == 0.5)
+        assert max_div(grid, xi) < 1e-14
 
     def test_noise_model_flags(self, grid):
-        model = NoiseModel.from_modes(
-            grid,
-            [
-                make_constant_mode(grid, a=(1, 0, 0)),
-                make_divfree_mode(grid, k=(1, 0, 0), a=(0, 1, 0)),
-            ],
-        )
+        harmonic = make_divfree_mode(grid, k=(1, 0, 0), a=(0, 1, 0))
+        model = NoiseModel(grid, [make_constant_mode(grid, a=(1, 0, 0)), harmonic])
         assert model.constant_flags == (True, False)
         assert model.n_modes == 2
+        assert model.modes.shape == (2, 3, *grid.shape)
         combined = model.combine(np.array([2.0, 0.0]))
         assert np.all(combined[0] == 2.0)
+        # partials of the harmonic mode only: d_x xi^y = -sin(x)
+        assert model.harmonic == [1]
+        assert model.harmonic_grads.shape == (1, 3, 3, *grid.shape)
+        X, _, _ = grid.meshgrid()
+        assert np.max(np.abs(model.harmonic_grads[0, 0, 1] + np.sin(X))) < 1e-12
 
 
 class TestWienerDriver:

@@ -13,7 +13,7 @@ import pytest
 from sabi.config import parse_config
 from sabi.dynamics import get_model, make_drift, spectral_path
 from sabi.errors import ConstraintError
-from sabi.grid import GridSpec, VectorField, project_divfree
+from sabi.grid import GridSpec, project_divfree
 from sabi.noise import NoiseModel, WienerDriver, make_constant_mode, make_divfree_mode
 from sabi.runner import make_stepper, run_ensemble
 
@@ -27,7 +27,7 @@ UNIFORM = ((0.4, 0.0, 0.0), (0.1, -0.3, 0.2))
 
 
 def field_without_nyquist(grid, rng):
-    vals = project_divfree(VectorField(grid, rng.standard_normal((3, *grid.shape)))).values
+    vals = project_divfree(grid, rng.standard_normal((3, *grid.shape)))
     spec = grid.rfft(vals)
     spec[:, grid.nx // 2] = 0.0
     spec[:, :, grid.ny // 2] = 0.0
@@ -42,7 +42,7 @@ def test_spectral_steps_match_generic(model_name, n_modes, dealias):
     grid = GridSpec(8, 8, 8, dealias=dealias)
     rng = np.random.default_rng(17)
     arrs = (field_without_nyquist(grid, rng), field_without_nyquist(grid, rng))
-    noise = NoiseModel.from_modes(grid, [make_constant_mode(grid, a) for a in UNIFORM[:n_modes]])
+    noise = NoiseModel(grid, [make_constant_mode(grid, a) for a in UNIFORM[:n_modes]])
     model = get_model(model_name)
     scheme, dt = MAXWELL_SCHEMES[model_name], 0.01
     assert spectral_path(model, noise)
@@ -61,8 +61,8 @@ def test_spectral_steps_match_generic(model_name, n_modes, dealias):
 
 def test_generic_path_for_harmonic_noise_and_other_models():
     grid = GridSpec(8, 8, 8)
-    uniform = NoiseModel.from_modes(grid, [make_constant_mode(grid, UNIFORM[0])])
-    mixed = NoiseModel.from_modes(
+    uniform = NoiseModel(grid, [make_constant_mode(grid, UNIFORM[0])])
+    mixed = NoiseModel(
         grid,
         [
             make_constant_mode(grid, UNIFORM[0]),
@@ -71,16 +71,16 @@ def test_generic_path_for_harmonic_noise_and_other_models():
     )
     for name in MAXWELL_SCHEMES:
         assert spectral_path(get_model(name), uniform)
-        assert spectral_path(get_model(name), NoiseModel.empty(grid))
+        assert spectral_path(get_model(name), NoiseModel(grid))
         assert not spectral_path(get_model(name), mixed)
     for name in ("bi", "bi-stratonovich", "bi-ito", "mhd", "mhd-stratonovich", "euler-vorticity"):
         assert not spectral_path(get_model(name), uniform)
-        assert not spectral_path(get_model(name), NoiseModel.empty(grid))
+        assert not spectral_path(get_model(name), NoiseModel(grid))
 
 
 def test_spectral_factories_reject_other_models():
     grid = GridSpec(8, 8, 8)
-    mixed = NoiseModel.from_modes(grid, [make_divfree_mode(grid, k=(0, 0, 1), a=(0.4, 0.0, 0.0))])
+    mixed = NoiseModel(grid, [make_divfree_mode(grid, k=(0, 0, 1), a=(0.4, 0.0, 0.0))])
     with pytest.raises(ConstraintError):
         make_drift(get_model("bi"), grid, spectral=True)
     with pytest.raises(ConstraintError):
