@@ -16,7 +16,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .dynamics import ModelSpec, get_model
-from .errors import ConfigError
+from .errors import ConfigError, ConstraintError
 from .grid import GridSpec, TWO_PI
 from .integrators import IntegratorConfig
 from .noise import NoiseModel, make_constant_mode, make_divfree_mode
@@ -142,8 +142,8 @@ class RunConfig:
 def _noise_model(
     grid: GridSpec, modes: tuple[NoiseModeConfig, ...], modes_json: str
 ) -> NoiseModel:
-    """Builds a noise model (its modes' divergence checks and the harmonic
-    modes' partials) and keeps the last one. modes_json is in the key because
+    """Builds a noise model (with its modes' divergence checks) and keeps
+    the last one. modes_json is in the key because
     equal modes may still differ in the sign of a zero."""
     built = []
     for i, m in enumerate(modes):
@@ -154,7 +154,10 @@ def _noise_model(
                 built.append(make_divfree_mode(grid, m.k, m.a, m.phase, m.amplitude))
         except Exception as exc:
             raise ConfigError(f"noise.modes[{i}]: {exc}") from exc
-    return NoiseModel(grid, built)
+    try:
+        return NoiseModel(grid, built)
+    except ConstraintError as exc:
+        raise ConfigError(f"noise.modes: {exc}") from exc
 
 
 def _parse_grid(data: dict) -> GridSpec:

@@ -44,6 +44,7 @@ from .grid import (
     _lie_1form_density_arr,
     _maybe_truncate,
     _transport_2form_arr,
+    _wavenumbers,
     curl,
     curl_inv,
 )
@@ -166,13 +167,10 @@ def _mhd_drift_arrays(
         )
     v = P / h
     flux = (P[None, :] * P[:, None] - B[None, :] * B[:, None]) / h  # [j, i]
-    spec = grid.rfft(flux)
-    if grid.dealias:
-        spec *= grid.dealias_mask
-    dspec = -1j * (
-        grid.kx * spec[0] + grid.ky * spec[1] + grid.kz * spec[2]
-    )  # contract over j
-    dP = grid.irfft(dspec)
+    spec = grid.rfft(flux, band=grid.dealias)
+    kx, ky, kz = _wavenumbers(grid, grid.dealias)
+    dspec = -1j * (kx * spec[0] + ky * spec[1] + kz * spec[2])  # contract over j
+    dP = grid.irfft(dspec, band=grid.dealias)
     dB = _transport_2form_arr(grid, v, B)
     return dP, dB
 
@@ -281,15 +279,15 @@ def make_noise_op(
         return g
     degrees = [degree for _, degree in model.components]
     transports = [_TRANSPORT[degree] for degree in degrees]
-    needs_grad = ONE_FORM_DENSITY in degrees
+    grads = noise.harmonic_grads if ONE_FORM_DENSITY in degrees else None
 
     def g(arrs: Arrays, dW: np.ndarray) -> Arrays:
         if noise.n_modes == 0:
             return tuple(np.zeros_like(a) for a in arrs)
         xi_eff = noise.combine(dW)
         grad_eff = None
-        if needs_grad:  # a uniform mode's partials vanish
-            grad_eff = np.tensordot(dW[noise.harmonic], noise.harmonic_grads, axes=(0, 0))
+        if grads is not None:  # a uniform mode's partials vanish
+            grad_eff = np.tensordot(dW[noise.harmonic], grads, axes=(0, 0))
         return tuple(t(grid, xi_eff, grad_eff, a) for t, a in zip(transports, arrs))
 
     return g
@@ -311,8 +309,10 @@ def make_ito_correction(
             return tuple(mult * s for s in specs)
 
         return c
-    transports = [_TRANSPORT[degree] for _, degree in model.components]
-    harmonic = [(noise.modes[i], g) for i, g in zip(noise.harmonic, noise.harmonic_grads)]
+    degrees = [degree for _, degree in model.components]
+    transports = [_TRANSPORT[degree] for degree in degrees]
+    grads = noise.harmonic_grads if ONE_FORM_DENSITY in degrees else [None] * len(noise.harmonic)
+    harmonic = [(noise.modes[i], g) for i, g in zip(noise.harmonic, grads)]
 
     def c(arrs: Arrays) -> Arrays:
         if noise.n_modes == 0:

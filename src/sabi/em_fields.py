@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridSpec, check_divfree, curl
+from .grid import GridSpec, check_divfree, cross, curl
 
 PAIRING_DIV_TOL = 1e-8
 
@@ -18,7 +18,7 @@ PAIRING_DIV_TOL = 1e-8
 def bi_density(D: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The first half of bi_closure: Hd = sqrt(1 + |D|^2 + |B|^2 + |P|^2)
     and P = D x B, for callers that need no variational derivatives."""
-    P = np.cross(D, B, axis=0)
+    P = cross(D, B)
     Hd = np.sqrt(1.0 + np.sum(D * D + B * B + P * P, axis=0))
     return Hd, P
 
@@ -30,8 +30,8 @@ def bi_closure(
     Hd = sqrt(1 + |D|^2 + |B|^2 + |P|^2) with P = D x B, and the variational
     derivatives E = (D + B x P)/Hd and H = (B - D x P)/Hd."""
     Hd, P = bi_density(D, B)
-    E = (D + np.cross(B, P, axis=0)) / Hd
-    H = (B - np.cross(D, P, axis=0)) / Hd
+    E = (D + cross(B, P)) / Hd
+    H = (B - cross(D, P)) / Hd
     return Hd, P, E, H
 
 
@@ -47,7 +47,7 @@ def hydro_variables(
 def hydro_force(grid: GridSpec, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """The force of the momentum-velocity equation,
     gamma x curl gamma + beta x curl beta."""
-    return np.cross(gamma, curl(grid, gamma), axis=0) + np.cross(beta, curl(grid, beta), axis=0)
+    return cross(gamma, curl(grid, gamma)) + cross(beta, curl(grid, beta))
 
 
 def momentum_map_pairing(

@@ -8,10 +8,17 @@ check_divfree, at the boundaries that need them.
 Differential operators act in spectral space, so the discrete div/curl/grad
 commute exactly and div(curl F) = 0, curl(grad f) = 0 hold to roundoff.
 
-Dealiasing policy: the 2/3-rule mask is applied to *products* (the transport
+Dealiasing policy: the 2/3 rule truncates *products* (the transport
 kernels and the composite nonlinear fluxes assembled by the dynamics layer),
-never to the linear operators themselves. Pointwise non-polynomial closures (sqrt, 1/H)
-are evaluated from raw products so pointwise bounds like H >= 1 survive.
+never the linear operators themselves. Pointwise non-polynomial closures
+(sqrt, 1/H) are evaluated from raw products so pointwise bounds like H >= 1
+survive. A truncation transforms only the band: rfft(arr, band=True) runs
+the per-axis transforms on the lines that reach the dealias band and returns
+the compact (..., bx, by, bz) block, with the bits of rfftn(arr) *
+dealias_mask there; irfft(block, band=True) is its inverse and skips the
+lines that hold only zeros, and band_k holds the block's wavenumbers. Only
+the spectral path's noise operator multiplies by the full-layout
+dealias_mask.
 """
 
 from __future__ import annotations
@@ -125,18 +132,102 @@ class GridSpec:
         return ((self.nx - 1) // 3, (self.ny - 1) // 3, (self.nz - 1) // 3)
 
     @cached_property
-    def dealias_mask(self) -> np.ndarray:
+    def _axis_masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         mx = np.abs(np.fft.fftfreq(self.nx) * self.nx) <= self.dealias_keep[0]
         my = np.abs(np.fft.fftfreq(self.ny) * self.ny) <= self.dealias_keep[1]
         mz = np.fft.rfftfreq(self.nz) * self.nz <= self.dealias_keep[2]
+        return mx, my, mz
+
+    @cached_property
+    def dealias_mask(self) -> np.ndarray:
+        mx, my, mz = self._axis_masks
         return mx[:, None, None] & my[None, :, None] & mz[None, None, :]
 
-    def rfft(self, arr: np.ndarray) -> np.ndarray:
-        """Real-to-complex transform over the trailing three axes."""
-        return np.fft.rfftn(arr, axes=(-3, -2, -1))
+    @cached_property
+    def band_k(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(kx, ky, kz) on the compact dealias band block (bx, by, bz), the
+        layout of rfft(arr, band=True); the values are those of kx, ky, kz."""
+        (xlo, xhi), (ylo, yhi), bz = self._band_split
+        return (
+            _take_rows(self.kx, -3, xlo, xhi),
+            _take_rows(self.ky, -2, ylo, yhi),
+            self.kz[..., :bz],
+        )
 
-    def irfft(self, spec: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(spec, s=self.shape, axes=(-3, -2, -1))
+    @cached_property
+    def _band_split(self) -> tuple[tuple[int, int], tuple[int, int], int]:
+        """The rows dealias_mask keeps along x and y, [0, lo) and [hi, n),
+        and its column count along z."""
+        mx, my, mz = self._axis_masks
+
+        def rows(m: np.ndarray) -> tuple[int, int]:
+            return int(np.argmin(m)), len(m) - int(np.argmin(m[::-1]))
+
+        return rows(mx), rows(my), int(mz.sum())
+
+    def rfft(self, arr: np.ndarray, band: bool = False) -> np.ndarray:
+        """Real-to-complex transform over the trailing three axes.
+
+        With band=True it returns only the compact (..., bx, by, bz) block of
+        the dealias band, with the bits of rfftn(arr) * dealias_mask there:
+        the per-axis transforms of rfftn (rfft along z, fft along y, fft
+        along x), each run in place and only on the lines that reach the
+        band."""
+        if not band:
+            return np.fft.rfftn(arr, axes=(-3, -2, -1))
+        (xlo, xhi), (ylo, yhi), bz = self._band_split
+        t = np.fft.rfft(arr, axis=-1)[..., :bz]
+        np.fft.fft(t, axis=-2, out=t)
+        t = _take_rows(t, -2, ylo, yhi)
+        np.fft.fft(t, axis=-3, out=t)
+        block = _take_rows(t, -3, xlo, xhi)
+        block *= True  # the mask's product, which may flip the sign of a zero
+        return block
+
+    def irfft(self, spec: np.ndarray, band: bool = False) -> np.ndarray:
+        """Inverse of rfft. With band=True spec is a compact band block and
+        the result has the bits of irfftn of that block zero-padded to the
+        full layout; the lines that hold only zeros are not transformed."""
+        if not band:
+            return np.fft.irfftn(spec, s=self.shape, axes=(-3, -2, -1))
+        (xlo, xhi), (ylo, yhi), bz = self._band_split
+        t = _put_rows(spec, -3, self.nx, xlo, xhi)
+        np.fft.ifft(t, axis=-3, out=t)
+        full = np.zeros((*spec.shape[:-3], self.nx, self.ny, self.nz // 2 + 1), complex)
+        _put_rows(t, -2, self.ny, ylo, yhi, out=full[..., :bz])
+        np.fft.ifft(full[..., :bz], axis=-2, out=full[..., :bz])
+        return np.fft.irfft(full, n=self.nz, axis=-1)
+
+
+def _rows(axis: int, rows: slice) -> tuple:
+    """The index of rows along a trailing axis."""
+    return (Ellipsis, rows) + (slice(None),) * (-1 - axis)
+
+
+def _take_rows(a: np.ndarray, axis: int, lo: int, hi: int) -> np.ndarray:
+    """The rows [0, lo) and [hi, n) of a along a trailing axis, copied into a
+    new C-ordered array."""
+    shape = list(a.shape)
+    shape[axis] = lo + a.shape[axis] - hi
+    out = np.empty(shape, a.dtype)
+    out[_rows(axis, slice(0, lo))] = a[_rows(axis, slice(0, lo))]
+    out[_rows(axis, slice(lo, None))] = a[_rows(axis, slice(hi, None))]
+    return out
+
+
+def _put_rows(
+    a: np.ndarray, axis: int, n: int, lo: int, hi: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """a's rows scattered to [0, lo) and [hi, n) along a trailing axis of
+    length n, zeros between (into out, which must hold zeros, or a new
+    C-ordered array): the inverse of _take_rows."""
+    if out is None:
+        shape = list(a.shape)
+        shape[axis] = n
+        out = np.zeros(shape, a.dtype)
+    out[_rows(axis, slice(0, lo))] = a[_rows(axis, slice(0, lo))]
+    out[_rows(axis, slice(hi, None))] = a[_rows(axis, slice(lo, None))]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -148,20 +239,23 @@ def _maybe_truncate(grid: GridSpec, arr: np.ndarray) -> np.ndarray:
     dealiases."""
     if not grid.dealias:
         return arr
-    spec = grid.rfft(arr)
-    spec *= grid.dealias_mask
-    return grid.irfft(spec)
+    return grid.irfft(grid.rfft(arr, band=True), band=True)
 
 
-def _curl_spec(grid: GridSpec, spec: np.ndarray) -> np.ndarray:
-    kx, ky, kz = grid.kx, grid.ky, grid.kz
-    return 1j * np.stack(
-        [
-            ky * spec[2] - kz * spec[1],
-            kz * spec[0] - kx * spec[2],
-            kx * spec[1] - ky * spec[0],
-        ]
-    )
+def _wavenumbers(grid: GridSpec, band: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(kx, ky, kz) of the full rfft layout, or of the band block."""
+    return grid.band_k if band else (grid.kx, grid.ky, grid.kz)
+
+
+def _curl_spec(grid: GridSpec, spec: np.ndarray, band: bool = False) -> np.ndarray:
+    """i k x spec, on the full rfft layout or (band=True) on a band block."""
+    kx, ky, kz = _wavenumbers(grid, band)
+    out = np.empty(spec.shape, complex)
+    np.subtract(ky * spec[2], kz * spec[1], out=out[0])
+    np.subtract(kz * spec[0], kx * spec[2], out=out[1])
+    np.subtract(kx * spec[1], ky * spec[0], out=out[2])
+    out *= 1j
+    return out
 
 
 def _grad_vector_arr(grid: GridSpec, arr: np.ndarray) -> np.ndarray:
@@ -176,7 +270,7 @@ def _grad_vector_arr(grid: GridSpec, arr: np.ndarray) -> np.ndarray:
 def _transport_2form_arr(grid: GridSpec, xi: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Transport of a flux (2-form) field along xi, curl(xi x F): minus its
     Lie derivative, truncated when the grid dealiases."""
-    return curl(grid, np.cross(xi, F, axis=0), mask=grid.dealias)
+    return curl(grid, cross(xi, F), mask=grid.dealias)
 
 
 def _lie_1form_density_arr(
@@ -211,10 +305,20 @@ def div(grid: GridSpec, F: np.ndarray) -> np.ndarray:
 def curl(grid: GridSpec, F: np.ndarray, mask: bool = False) -> np.ndarray:
     """Spectral curl, on the dealias band with mask=True; div(curl F)
     vanishes to machine precision."""
-    spec = grid.rfft(F)
-    if mask:
-        spec *= grid.dealias_mask
-    return grid.irfft(_curl_spec(grid, spec))
+    spec = grid.rfft(F, band=mask)
+    return grid.irfft(_curl_spec(grid, spec, band=mask), band=mask)
+
+
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise a x b of two (3, ...) arrays into a new C-ordered array:
+    the bits of np.cross(a, b, axis=0), whose result is not C-ordered."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    tmp = np.empty_like(out[0])
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[j], b[k], out=out[i])
+        np.multiply(a[k], b[j], out=tmp)
+        out[i] -= tmp
+    return out
 
 
 def max_div(grid: GridSpec, F: np.ndarray) -> float:

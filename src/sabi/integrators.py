@@ -57,11 +57,14 @@ class IntegratorConfig:
 
 
 def _lincomb(base: Arrays, *terms: tuple[float, Arrays]) -> Arrays:
+    """base + sum of coeff * arrs, componentwise: the first term makes a new
+    array and the others accumulate into it in place."""
+    (coeff0, first), *rest = terms
     out = []
     for i, b in enumerate(base):
-        acc = b
-        for coeff, arrs in terms:
-            acc = acc + coeff * arrs[i]
+        acc = b + coeff0 * first[i]
+        for coeff, arrs in rest:
+            acc += coeff * arrs[i]
         out.append(acc)
     return tuple(out)
 

@@ -14,6 +14,7 @@ studies (refining a path never changes its coarse-level increments).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,9 +74,8 @@ class NoiseModel:
     (n_modes, 3, nx, ny, nz) array.
 
     constant_flags marks the modes that are spatially uniform; those get
-    exact spectral fast paths. The others, the harmonic modes (indices
-    `harmonic`), have their partials computed once here, in the layout
-    harmonic_grads[h, k, j] = d_k xi_h^j (a uniform mode's partials vanish).
+    exact spectral fast paths. The others are the harmonic modes (indices
+    `harmonic`).
     """
 
     def __init__(self, grid: GridSpec, modes=()):
@@ -87,11 +87,15 @@ class NoiseModel:
             check_divfree(grid, xi, f"noise mode {i}", "xi", XI_DIV_TOL)
         self.constant_flags = tuple(_is_uniform(xi) for xi in self.modes)
         self.harmonic = [i for i, const in enumerate(self.constant_flags) if not const]
-        self.harmonic_grads = (
-            np.stack([_grad_vector_arr(grid, self.modes[i]) for i in self.harmonic])
-            if self.harmonic
-            else np.zeros((0, 3, 3, *grid.shape))
-        )
+
+    @cached_property
+    def harmonic_grads(self) -> np.ndarray:
+        """The harmonic modes' partials, harmonic_grads[h, k, j] = d_k xi_h^j
+        (a uniform mode's partials vanish), computed on first use: only the
+        1-form density transport reads them."""
+        if not self.harmonic:
+            return np.zeros((0, 3, 3, *self.grid.shape))
+        return np.stack([_grad_vector_arr(self.grid, self.modes[i]) for i in self.harmonic])
 
     @property
     def n_modes(self) -> int:

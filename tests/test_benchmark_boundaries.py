@@ -8,8 +8,11 @@ parsed with ast, never imported.
 """
 
 import ast
+import math
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 import sabi.runner
 from sabi.config import parse_config
@@ -17,7 +20,8 @@ import sabi.verify
 from sabi.grid import GridSpec
 from sabi.noise import NoiseModel, WienerDriver
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def runner_boundaries() -> list[str]:
@@ -102,3 +106,51 @@ def test_generic_noise_run_calls_every_wrapped_boundary(monkeypatch):
     assert calls["make_drift"] == calls["make_noise_op"] == 1
     assert calls["make_ito_correction"] == 0
     assert calls["heun_stratonovich_step"] == cfg.integrator.n_steps == 4
+
+
+def test_bi_drift_counts_twelve_scalar_transforms(monkeypatch):
+    # spans.py counts prod(args[1].shape[:-3]) per GridSpec.rfft/irfft call,
+    # so every transform, band or full, must pass its array positionally
+    from sabi.dynamics import get_model, make_drift
+
+    counts = Counter()
+    for name in ("rfft", "irfft"):
+        original = GridSpec.__dict__[name]
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += math.prod(args[1].shape[:-3])
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(GridSpec, name, spy)
+    grid = GridSpec(8, 8, 8)
+    rng = np.random.default_rng(3)
+    state = tuple(0.1 * rng.standard_normal((3, *grid.shape)) for _ in range(2))
+    make_drift(get_model("bi"), grid)(state)
+    # two curls of (3, ...) fields: 6 forward and 6 inverse scalar transforms
+    assert counts == {"rfft": 6, "irfft": 6}
+
+
+def test_fft_calls_live_in_gridspec_and_point_evaluation():
+    """Every numpy transform in src/sabi runs inside GridSpec, where spans.py
+    counts it, or in evaluate_at_points (a diagnostic, never in a step)."""
+    transforms = {"fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"}
+    outside = []
+    for path in sorted((ROOT / "src" / "sabi").glob("*.py")):
+        tree = ast.parse(path.read_text())
+
+        def visit(node, owner):
+            for child in ast.iter_child_nodes(node):
+                name = owner
+                if owner is None and isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                    name = child.name
+                if (
+                    isinstance(child, ast.Attribute)
+                    and child.attr in transforms
+                    and ast.unparse(child.value) == "np.fft"
+                    and owner not in ("GridSpec", "evaluate_at_points")
+                ):
+                    outside.append(f"{path.name}:{child.lineno} np.fft.{child.attr}")
+                visit(child, name)
+
+        visit(tree, None)
+    assert outside == []

@@ -70,6 +70,24 @@ class TestConfigParsing:
             load_config(cfg_path)
         assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)]) == 2
 
+    def test_large_harmonic_amplitude_is_a_config_error(self, tmp_path):
+        # the divergence the projection leaves grows with the amplitude, and
+        # the mode check's tolerance is absolute
+        bad = dict(
+            MINIMAL,
+            model="bi-stratonovich",
+            grid={"nx": 16, "ny": 16, "nz": 16},
+            noise={
+                "modes": [
+                    {"type": "harmonic", "k": [1, 2, 3], "a": [1, 0, 0], "amplitude": 1e9}
+                ]
+            },
+        )
+        cfg_path = write_config(tmp_path, bad)
+        with pytest.raises(ConfigError, match=r"noise\.modes: .*max\|div xi\|"):
+            load_config(cfg_path)
+        assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)]) == 2
+
     def test_noise_on_deterministic_model_rejected(self, tmp_path):
         bad = dict(
             MINIMAL,

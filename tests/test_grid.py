@@ -13,6 +13,7 @@ from sabi.grid import (
     CURL_INV_DIV_TOL,
     GridSpec,
     check_divfree,
+    cross,
     curl,
     curl_inv,
     div,
@@ -20,6 +21,7 @@ from sabi.grid import (
     grad,
     max_div,
     project_divfree,
+    _curl_spec,
     _grad_vector_arr,
     _lie_1form_density_arr,
     _maybe_truncate,
@@ -248,6 +250,75 @@ class TestDealiasing:
         assert abs(spec[10, 0, 0]) < 1e-10
         spec_raw = grid16.rfft(_maybe_truncate(raw16, prod))
         assert abs(spec_raw[10, 0, 0]) > 1.0
+
+
+# Non-cubic even grids from 4 to 24 samples per axis, in 2pi and other boxes;
+# 6 and 10 included, where dealias_keep = (n - 1) // 3 rounds down (at 10 the
+# mask keeps one mode fewer per side than dealias_keep, and the band follows
+# the mask).
+BAND_GRIDS = [
+    GridSpec(4, 6, 10),
+    GridSpec(10, 24, 8, Lx=1.0, Ly=2.5, Lz=5.0),
+    GridSpec(24, 4, 6, Lx=3.0, Ly=0.7, Lz=TWO_PI),
+    GridSpec(6, 10, 24, Lx=2.0, Ly=2.0, Lz=2.0),
+    GridSpec(12, 16, 22, Lx=TWO_PI, Ly=4.0, Lz=9.0, dealias=False),
+]
+
+
+LEADS = pytest.mark.parametrize("lead", [(), (3,), (3, 3)], ids=["scalar", "vector", "tensor"])
+
+
+@pytest.mark.parametrize("grid", BAND_GRIDS, ids=lambda g: "x".join(map(str, g.shape)))
+class TestBandTransforms:
+    """rfft/irfft(band=True) against the full-layout rfftn * dealias_mask.
+
+    Bytes are compared on the band. Outside it the mask's product leaves
+    zeros whose sign follows the discarded value, so there the full layout
+    is compared by value against the block's zero padding."""
+
+    @staticmethod
+    def fields(grid, lead, seed):
+        return np.random.default_rng(seed).standard_normal((*lead, *grid.shape))
+
+    @LEADS
+    def test_rfft_band_is_masked_rfftn(self, grid, lead):
+        a = self.fields(grid, lead, seed=31)
+        block = grid.rfft(a, band=True)
+        mask = grid.dealias_mask
+        kept = (mask.any(axis=axes).sum() for axes in ((1, 2), (0, 2), (0, 1)))
+        assert block.shape == (*lead, *kept)
+        ref = np.fft.rfftn(a, axes=(-3, -2, -1)) * grid.dealias_mask
+        flat = block.reshape(*lead, -1)
+        assert flat.tobytes() == ref[..., grid.dealias_mask].tobytes()
+        scattered = np.zeros_like(ref)
+        scattered[..., grid.dealias_mask] = flat
+        assert np.array_equal(scattered, ref)
+
+    @LEADS
+    def test_irfft_band_is_irfftn_of_padded_block(self, grid, lead):
+        block = grid.rfft(self.fields(grid, lead, seed=32), band=True)
+        padded = np.zeros((*lead, grid.nx, grid.ny, grid.nz // 2 + 1), complex)
+        padded[..., grid.dealias_mask] = block.reshape(*lead, -1)
+        want = np.fft.irfftn(padded, s=grid.shape, axes=(-3, -2, -1))
+        got = grid.irfft(block, band=True)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    @LEADS
+    def test_cross_is_np_cross(self, grid, lead):
+        a = self.fields(grid, (3, *lead), seed=33)
+        b = self.fields(grid, (3, *lead), seed=34)
+        got = cross(a, b)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, np.cross(a, b, axis=0))
+
+    def test_band_curl_is_masked_curl(self, grid):
+        # band_k holds the band's wavenumbers, so the curl is the same bits
+        F = self.fields(grid, (3,), seed=35)
+        spec = grid.rfft(F) * grid.dealias_mask
+        want = _curl_spec(grid, spec)[..., grid.dealias_mask]
+        got = _curl_spec(grid, grid.rfft(F, band=True), band=True)
+        assert got.reshape(3, -1).tobytes() == want.tobytes()
 
 
 class TestPointEvaluation:

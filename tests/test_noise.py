@@ -67,6 +67,34 @@ class TestDivfreeModes:
         X, _, _ = grid.meshgrid()
         assert np.max(np.abs(model.harmonic_grads[0, 0, 1] + np.sin(X))) < 1e-12
 
+    @pytest.mark.parametrize("model_name", ["bi-stratonovich", "euler-vorticity"])
+    def test_two_form_models_transform_no_gradients(self, grid, model_name, monkeypatch):
+        from sabi.dynamics import get_model, make_drift, make_ito_correction, make_noise_op
+
+        calls = {"rfft": 0, "irfft": 0}
+        for name in calls:
+            original = GridSpec.__dict__[name]
+
+            def spy(self, arr, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(self, arr, *args, **kwargs)
+
+            monkeypatch.setattr(GridSpec, name, spy)
+        modes = [
+            make_constant_mode(grid, a=(0.1, 0.0, 0.0)),
+            make_divfree_mode(grid, k=(0, 0, 1), a=(0.3, 0, 0)),
+        ]
+        noise = NoiseModel(grid, modes)
+        model = get_model(model_name)
+        make_drift(model, grid)
+        make_noise_op(model, grid, noise)
+        make_ito_correction(model, grid, noise)
+        # each mode's divergence check: one rfft and one irfft
+        assert calls == {"rfft": 2, "irfft": 2}
+        assert "harmonic_grads" not in vars(noise)
+        noise.harmonic_grads  # the spy sees the gradient transforms when they run
+        assert calls == {"rfft": 3, "irfft": 5}
+
 
 class TestWienerDriver:
     def test_determinism(self):
