@@ -23,6 +23,7 @@ from .grid import (
     _grad_vector_arr,
     _lie_1form_density_arr,
     check_divfree,
+    cross,
     curl,
     curl_inv,
     evaluate_at_points,
@@ -127,7 +128,7 @@ def total_momentum(
     P for the high-field limit, the velocity u = curl^-1 w for vorticity
     runs, computed here unless the caller already has it)."""
     if model.kind == "em":
-        P = np.cross(arrs[0], arrs[1], axis=0)
+        P = cross(arrs[0], arrs[1])
     elif model.kind == "mhd":
         P = arrs[0]
     elif model.kind == "vorticity":
@@ -250,10 +251,10 @@ def lp_bracket_check(
     def pair(a: np.ndarray, b: np.ndarray) -> float:
         return float(np.sum(a * b) * vol)
 
-    dF_dD = np.cross(B, xi, axis=0)
-    dF_dA = curl(grid, np.cross(xi, D, axis=0))
-    dK_dD = np.cross(B, eta, axis=0)
-    dK_dA = curl(grid, np.cross(eta, D, axis=0))
+    dF_dD = cross(B, xi)
+    dF_dA = curl(grid, cross(xi, D))
+    dK_dD = cross(B, eta)
+    dK_dA = curl(grid, cross(eta, D))
     lhs = pair(dF_dD, dK_dA) - pair(dK_dD, dF_dA)
 
     gxi = _grad_vector_arr(grid, xi)
@@ -261,7 +262,7 @@ def lp_bracket_check(
     bracket = np.einsum("j...,jk...->k...", xi, geta) - np.einsum(
         "j...,jk...->k...", eta, gxi
     )
-    P = np.cross(D, B, axis=0)
+    P = cross(D, B)
     rhs = LP_BRACKET_SIGN * pair(P, bracket)
     return lhs, rhs
 
@@ -285,7 +286,7 @@ def km_bracket_residual(grid: GridSpec, D: np.ndarray, B: np.ndarray) -> float:
 
     # transport + diamond-force route
     lie_p = _lie_1form_density_arr(grid, v, _grad_vector_arr(grid, v), P)
-    forces = np.cross(B, curl(grid, bet), axis=0) + np.cross(D, curl(grid, gam), axis=0)
+    forces = cross(B, curl(grid, bet)) + cross(D, curl(grid, gam))
     dP2 = -lie_p - forces
 
     num = float(np.sqrt(np.sum((dP1 - dP2) ** 2) * grid.cell_volume))
@@ -305,13 +306,13 @@ def vorticity_transport_residual(
     v, gam, bet = hydro_variables(D, B, Hd, P)
 
     dD, dB = make_drift(model, grid)((D, B))
-    dP = np.cross(dD, B, axis=0) + np.cross(D, dB, axis=0)
+    dP = cross(dD, B) + cross(D, dB)
     dH = np.sum(E * dD + Hf * dB, axis=0)
     dv = (dP - v * dH[None]) / Hd
     d_vort = curl(grid, dv)
 
     vort = curl(grid, v)
-    transport = curl(grid, np.cross(v, vort, axis=0))
+    transport = curl(grid, cross(v, vort))
     forces = curl(grid, hydro_force(grid, gam, bet))
     residual = d_vort - transport + forces
     num = float(np.sqrt(np.sum(residual**2) * grid.cell_volume))

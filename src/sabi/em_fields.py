@@ -65,9 +65,9 @@ def momentum_map_pairing(
     for name, f in (("D", D), ("xi", xi)):
         check_divfree(grid, f, "momentum_map_pairing", name, PAIRING_DIV_TOL)
     B = curl(grid, A)
-    P = np.cross(D, B, axis=0)
+    P = cross(D, B)
     lhs = float(np.mean(np.sum(xi * P, axis=0))) * grid.volume
-    transported = curl(grid, np.cross(xi, D, axis=0))
+    transported = curl(grid, cross(xi, D))
     rhs = float(np.mean(np.sum(A * transported, axis=0))) * grid.volume
     return lhs, rhs
 

@@ -311,7 +311,8 @@ def curl(grid: GridSpec, F: np.ndarray, mask: bool = False) -> np.ndarray:
 
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pointwise a x b of two (3, ...) arrays into a new C-ordered array:
-    the bits of np.cross(a, b, axis=0), whose result is not C-ordered."""
+    the values of numpy's cross(a, b, axis=0), whose result is not
+    C-ordered (so reductions over the two may differ in the last bit)."""
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
     tmp = np.empty_like(out[0])
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .dynamics import Arrays
 from .errors import ConfigError
-from .grid import TWO_PI, GridSpec, _maybe_truncate, curl, project_divfree
+from .grid import TWO_PI, GridSpec, _maybe_truncate, cross, curl, project_divfree
 
 PRESET_MODELS = {
     "plane-wave": ("em",),
@@ -137,7 +137,7 @@ def helical_orthogonal(
     w = random_divfree_field(
         grid, seed, salt=2, kmax=kmax, amplitude=momentum_amplitude, divfree=False
     )
-    P = _maybe_truncate(grid, np.cross(w, B, axis=0))
+    P = _maybe_truncate(grid, cross(w, B))
     # re-orthogonalize after truncation so the monitored constraint starts at
     # roundoff rather than at spectral-tail level
     B_t = _maybe_truncate(grid, B)

@@ -35,7 +35,7 @@ from .em_fields import (
     momentum_map_pairing,
 )
 from .errors import ConfigError
-from .grid import GridSpec, _grad_vector_arr, curl, grad, max_div
+from .grid import GridSpec, _grad_vector_arr, cross, curl, grad, max_div
 from .integrators import heun_stratonovich_step, rk4_step
 from .noise import DyadicBrownianPath, NoiseModel, make_constant_mode, make_divfree_mode
 from .presets import random_divfree_field
@@ -124,7 +124,7 @@ def suite_variational_derivatives(grid_n: int = 8, **_) -> SuiteReport:
     eps = 1e-6
 
     def functional(Dv, Bv):
-        P = np.cross(Dv, Bv, axis=0)
+        P = cross(Dv, Bv)
         return float(np.sum(np.sqrt(1.0 + np.sum(Dv * Dv + Bv * Bv + P * P, axis=0))))
 
     worst = {"E": 0.0, "H": 0.0}
