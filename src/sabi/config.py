@@ -143,8 +143,8 @@ def _noise_model(
     grid: GridSpec, modes: tuple[NoiseModeConfig, ...], modes_json: str
 ) -> NoiseModel:
     """Builds a noise model (with its modes' divergence checks) and keeps
-    the last one. modes_json is in the key because
-    equal modes may still differ in the sign of a zero."""
+    the last one. modes_json is in the key because equal modes may still
+    differ in the sign of a zero."""
     built = []
     for i, m in enumerate(modes):
         try:
