@@ -151,6 +151,15 @@ def _transport_1form_density(
 _TRANSPORT = {TWO_FORM: _transport_2form, ONE_FORM_DENSITY: _transport_1form_density}
 
 
+def _transport_grads(noise: NoiseModel, degrees: list[str]) -> np.ndarray | list[None]:
+    """The grad_xi each harmonic mode passes to the transports of these
+    degrees: its partials (noise.harmonic_grads) when the 1-form density is
+    among them, else None per mode, so no other model builds them."""
+    if ONE_FORM_DENSITY in degrees:
+        return noise.harmonic_grads
+    return [None] * len(noise.harmonic)
+
+
 def mhd_density(P: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Energy density of the high-field limit, h = sqrt(|P|^2 + |B|^2)."""
     return np.sqrt(np.sum(P * P + B * B, axis=0))
@@ -279,14 +288,15 @@ def make_noise_op(
         return g
     degrees = [degree for _, degree in model.components]
     transports = [_TRANSPORT[degree] for degree in degrees]
-    grads = noise.harmonic_grads if ONE_FORM_DENSITY in degrees else None
+    grads = _transport_grads(noise, degrees)
+    weighted = isinstance(grads, np.ndarray)  # some transport reads the partials
 
     def g(arrs: Arrays, dW: np.ndarray) -> Arrays:
         if noise.n_modes == 0:
             return tuple(np.zeros_like(a) for a in arrs)
         xi_eff = noise.combine(dW)
         grad_eff = None
-        if grads is not None:  # a uniform mode's partials vanish
+        if weighted:  # a uniform mode's partials vanish
             grad_eff = np.tensordot(dW[noise.harmonic], grads, axes=(0, 0))
         return tuple(t(grid, xi_eff, grad_eff, a) for t, a in zip(transports, arrs))
 
@@ -311,7 +321,7 @@ def make_ito_correction(
         return c
     degrees = [degree for _, degree in model.components]
     transports = [_TRANSPORT[degree] for degree in degrees]
-    grads = noise.harmonic_grads if ONE_FORM_DENSITY in degrees else [None] * len(noise.harmonic)
+    grads = _transport_grads(noise, degrees)
     harmonic = [(noise.modes[i], g) for i, g in zip(noise.harmonic, grads)]
 
     def c(arrs: Arrays) -> Arrays:

@@ -147,23 +147,8 @@ class GridSpec:
     def band_k(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(kx, ky, kz) on the compact dealias band block (bx, by, bz), the
         layout of rfft(arr, band=True); the values are those of kx, ky, kz."""
-        (xlo, xhi), (ylo, yhi), bz = self._band_split
-        return (
-            _take_rows(self.kx, -3, xlo, xhi),
-            _take_rows(self.ky, -2, ylo, yhi),
-            self.kz[..., :bz],
-        )
-
-    @cached_property
-    def _band_split(self) -> tuple[tuple[int, int], tuple[int, int], int]:
-        """The rows dealias_mask keeps along x and y, [0, lo) and [hi, n),
-        and its column count along z."""
         mx, my, mz = self._axis_masks
-
-        def rows(m: np.ndarray) -> tuple[int, int]:
-            return int(np.argmin(m)), len(m) - int(np.argmin(m[::-1]))
-
-        return rows(mx), rows(my), int(mz.sum())
+        return self.kx[mx], self.ky[:, my], self.kz[..., mz]
 
     def rfft(self, arr: np.ndarray, band: bool = False) -> np.ndarray:
         """Real-to-complex transform over the trailing three axes.
@@ -172,15 +157,17 @@ class GridSpec:
         the dealias band, with the bits of rfftn(arr) * dealias_mask there:
         the per-axis transforms of rfftn (rfft along z, fft along y, fft
         along x), each run in place and only on the lines that reach the
-        band."""
+        band. The kept kz are a prefix of rfftfreq's order. The last copy is
+        np.compress, whose result is C-ordered, as a boolean index's is not:
+        later reductions over the block sum in memory order."""
         if not band:
             return np.fft.rfftn(arr, axes=(-3, -2, -1))
-        (xlo, xhi), (ylo, yhi), bz = self._band_split
-        t = np.fft.rfft(arr, axis=-1)[..., :bz]
+        mx, my, mz = self._axis_masks
+        t = np.fft.rfft(arr, axis=-1)[..., : mz.sum()]
         np.fft.fft(t, axis=-2, out=t)
-        t = _take_rows(t, -2, ylo, yhi)
+        t = t[..., my, :]
         np.fft.fft(t, axis=-3, out=t)
-        block = _take_rows(t, -3, xlo, xhi)
+        block = np.compress(mx, t, axis=-3)
         block *= True  # the mask's product, which may flip the sign of a zero
         return block
 
@@ -190,44 +177,15 @@ class GridSpec:
         full layout; the lines that hold only zeros are not transformed."""
         if not band:
             return np.fft.irfftn(spec, s=self.shape, axes=(-3, -2, -1))
-        (xlo, xhi), (ylo, yhi), bz = self._band_split
-        t = _put_rows(spec, -3, self.nx, xlo, xhi)
+        mx, my, _ = self._axis_masks
+        lead, bz = spec.shape[:-3], spec.shape[-1]
+        t = np.zeros((*lead, self.nx, *spec.shape[-2:]), complex)
+        t[..., mx, :, :] = spec
         np.fft.ifft(t, axis=-3, out=t)
-        full = np.zeros((*spec.shape[:-3], self.nx, self.ny, self.nz // 2 + 1), complex)
-        _put_rows(t, -2, self.ny, ylo, yhi, out=full[..., :bz])
+        full = np.zeros((*lead, self.nx, self.ny, self.nz // 2 + 1), complex)
+        full[..., my, :bz] = t
         np.fft.ifft(full[..., :bz], axis=-2, out=full[..., :bz])
         return np.fft.irfft(full, n=self.nz, axis=-1)
-
-
-def _rows(axis: int, rows: slice) -> tuple:
-    """The index of rows along a trailing axis."""
-    return (Ellipsis, rows) + (slice(None),) * (-1 - axis)
-
-
-def _take_rows(a: np.ndarray, axis: int, lo: int, hi: int) -> np.ndarray:
-    """The rows [0, lo) and [hi, n) of a along a trailing axis, copied into a
-    new C-ordered array."""
-    shape = list(a.shape)
-    shape[axis] = lo + a.shape[axis] - hi
-    out = np.empty(shape, a.dtype)
-    out[_rows(axis, slice(0, lo))] = a[_rows(axis, slice(0, lo))]
-    out[_rows(axis, slice(lo, None))] = a[_rows(axis, slice(hi, None))]
-    return out
-
-
-def _put_rows(
-    a: np.ndarray, axis: int, n: int, lo: int, hi: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """a's rows scattered to [0, lo) and [hi, n) along a trailing axis of
-    length n, zeros between (into out, which must hold zeros, or a new
-    C-ordered array): the inverse of _take_rows."""
-    if out is None:
-        shape = list(a.shape)
-        shape[axis] = n
-        out = np.zeros(shape, a.dtype)
-    out[_rows(axis, slice(0, lo))] = a[_rows(axis, slice(0, lo))]
-    out[_rows(axis, slice(hi, None))] = a[_rows(axis, slice(lo, None))]
-    return out
 
 
 # ---------------------------------------------------------------------------
