@@ -26,6 +26,7 @@ from .grid import (
     cross,
     curl,
     curl_inv,
+    div,
     evaluate_at_points,
     grad,
     max_div,
@@ -285,7 +286,9 @@ def km_bracket_residual(grid: GridSpec, D: np.ndarray, B: np.ndarray) -> float:
     dP1 += grad(grid, 1.0 / Hd)
 
     # transport + diamond-force route
-    lie_p = _lie_1form_density_arr(grid, v, _grad_vector_arr(grid, v), P)
+    # v = P/Hd is not divergence-free, so the density's Lie derivative adds
+    # P div v to the kernel's Cartan form
+    lie_p = _lie_1form_density_arr(grid, v, P) + P * div(grid, v)
     forces = cross(B, curl(grid, bet)) + cross(D, curl(grid, gam))
     dP2 = -lie_p - forces
 

@@ -14,7 +14,11 @@ model registry lists each kind's state components with their degrees
 (1/2) sum_i Lie_xi_i Lie_xi_i of every model:
 
     2-form (D, B, w)        curl(xi x F)
-    1-form density (P)      -(div(xi P) + P.grad xi), on the dealias band
+    1-form density (P)      xi x curl P - grad(xi.P), on the dealias band
+
+The 1-form density's Cartan form holds for a divergence-free xi, which
+every noise mode is (NoiseModel checks it). Neither form reads the
+partials of xi.
 
 Spatially uniform modes a_i enter the Ito correction as one multiplier on
 the spectra, -(1/2) sum_i (k.a_i)^2, and the expectation PDE's drift is the
@@ -134,30 +138,13 @@ def _uniform_ito_multiplier(grid: GridSpec, const: np.ndarray) -> np.ndarray:
     return -0.5 * np.sum(xk**2, axis=0)
 
 
-def _transport_2form(
-    grid: GridSpec, xi: np.ndarray, grad_xi: np.ndarray | None, F: np.ndarray
-) -> np.ndarray:
-    return _transport_2form_arr(grid, xi, F)
+def _transport_1form_density(grid: GridSpec, xi: np.ndarray, P: np.ndarray) -> np.ndarray:
+    return -_maybe_truncate(grid, _lie_1form_density_arr(grid, xi, P))
 
 
-def _transport_1form_density(
-    grid: GridSpec, xi: np.ndarray, grad_xi: np.ndarray, P: np.ndarray
-) -> np.ndarray:
-    return -_maybe_truncate(grid, _lie_1form_density_arr(grid, xi, grad_xi, P))
-
-
-# -Lie_xi F by form degree, as kernel(grid, xi, grad_xi, F); grad_xi (layout
-# [k, j] = d_k xi^j) is read by the 1-form density only.
-_TRANSPORT = {TWO_FORM: _transport_2form, ONE_FORM_DENSITY: _transport_1form_density}
-
-
-def _transport_grads(noise: NoiseModel, degrees: list[str]) -> np.ndarray | list[None]:
-    """The grad_xi each harmonic mode passes to the transports of these
-    degrees: its partials (noise.harmonic_grads) when the 1-form density is
-    among them, else None per mode, so no other model builds them."""
-    if ONE_FORM_DENSITY in degrees:
-        return noise.harmonic_grads
-    return [None] * len(noise.harmonic)
+# -Lie_xi F by form degree, as kernel(grid, xi, F); xi must be
+# divergence-free for the 1-form density (NoiseModel checks every mode).
+_TRANSPORT = {TWO_FORM: _transport_2form_arr, ONE_FORM_DENSITY: _transport_1form_density}
 
 
 def mhd_density(P: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -286,19 +273,13 @@ def make_noise_op(
             return tuple(out)
 
         return g
-    degrees = [degree for _, degree in model.components]
-    transports = [_TRANSPORT[degree] for degree in degrees]
-    grads = _transport_grads(noise, degrees)
-    weighted = isinstance(grads, np.ndarray)  # some transport reads the partials
+    transports = [_TRANSPORT[degree] for _, degree in model.components]
 
     def g(arrs: Arrays, dW: np.ndarray) -> Arrays:
         if noise.n_modes == 0:
             return tuple(np.zeros_like(a) for a in arrs)
         xi_eff = noise.combine(dW)
-        grad_eff = None
-        if weighted:  # a uniform mode's partials vanish
-            grad_eff = np.tensordot(dW[noise.harmonic], grads, axes=(0, 0))
-        return tuple(t(grid, xi_eff, grad_eff, a) for t, a in zip(transports, arrs))
+        return tuple(t(grid, xi_eff, a) for t, a in zip(transports, arrs))
 
     return g
 
@@ -319,10 +300,8 @@ def make_ito_correction(
             return tuple(mult * s for s in specs)
 
         return c
-    degrees = [degree for _, degree in model.components]
-    transports = [_TRANSPORT[degree] for degree in degrees]
-    grads = _transport_grads(noise, degrees)
-    harmonic = [(noise.modes[i], g) for i, g in zip(noise.harmonic, grads)]
+    transports = [_TRANSPORT[degree] for _, degree in model.components]
+    harmonic = [noise.modes[i] for i in noise.harmonic]
 
     def c(arrs: Arrays) -> Arrays:
         if noise.n_modes == 0:
@@ -332,8 +311,8 @@ def make_ito_correction(
             total = np.zeros_like(F)
             if len(const):
                 total += grid.irfft(mult * grid.rfft(F))
-            for xi, grad_xi in harmonic:
-                total += 0.5 * transport(grid, xi, grad_xi, transport(grid, xi, grad_xi, F))
+            for xi in harmonic:
+                total += 0.5 * transport(grid, xi, transport(grid, xi, F))
             out.append(total)
         return tuple(out)
 

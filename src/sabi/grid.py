@@ -131,12 +131,16 @@ class GridSpec:
         quadratic products in the kept band."""
         return ((self.nx - 1) // 3, (self.ny - 1) // 3, (self.nz - 1) // 3)
 
+    def mode_masks(self, keep: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
+        """Per-axis masks of the rfftn layout that keep the mode indices
+        |m| <= keep[i], compared as integers: the float frequency
+        fftfreq(10)[3] * 10 = 3.0000000000000004 would drop mode 3."""
+        mx, my = (np.minimum(np.arange(n), n - np.arange(n)) for n in (self.nx, self.ny))
+        return mx <= keep[0], my <= keep[1], np.arange(self.nz // 2 + 1) <= keep[2]
+
     @cached_property
     def _axis_masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        mx = np.abs(np.fft.fftfreq(self.nx) * self.nx) <= self.dealias_keep[0]
-        my = np.abs(np.fft.fftfreq(self.ny) * self.ny) <= self.dealias_keep[1]
-        mz = np.fft.rfftfreq(self.nz) * self.nz <= self.dealias_keep[2]
-        return mx, my, mz
+        return self.mode_masks(self.dealias_keep)
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -231,18 +235,15 @@ def _transport_2form_arr(grid: GridSpec, xi: np.ndarray, F: np.ndarray) -> np.nd
     return curl(grid, cross(xi, F), mask=grid.dealias)
 
 
-def _lie_1form_density_arr(
-    grid: GridSpec, xi: np.ndarray, grad_xi: np.ndarray, P: np.ndarray
-) -> np.ndarray:
-    """Lie derivative of a momentum (1-form density) field, componentwise
-    d_j(xi^j P_k) + P_j d_k xi^j, from raw (untruncated) products.
-
-    grad_xi holds the partials in the layout grad_xi[k, j] = d_k xi^j.
+def _lie_1form_density_arr(grid: GridSpec, xi: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Lie derivative of a momentum (1-form density) field along a
+    divergence-free xi, in Cartan form grad(xi.P) - xi x curl P (Holm,
+    Marsden & Ratiu 1998, Adv. Math. 137), from raw (untruncated) products;
+    it reads no partials of xi. For a general xi the density adds
+    P div xi, which callers with such an xi supply themselves.
     """
-    out = np.empty_like(P)
-    for k in range(3):
-        out[k] = div(grid, xi * P[k][None])
-    out += np.einsum("j...,kj...->k...", P, grad_xi)
+    out = grad(grid, np.sum(xi * P, axis=0))
+    out -= cross(xi, curl(grid, P))
     return out
 
 

@@ -14,12 +14,11 @@ studies (refining a path never changes its coarse-level increments).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ConstraintError
-from .grid import GridSpec, _grad_vector_arr, check_divfree
+from .grid import GridSpec, check_divfree
 
 XI_DIV_TOL = 1e-10
 _DRIVER_STREAM = 0
@@ -79,7 +78,6 @@ class NoiseModel:
     """
 
     def __init__(self, grid: GridSpec, modes=()):
-        self.grid = grid
         self.modes = np.stack(modes) if len(modes) else np.zeros((0, 3, *grid.shape))
         if self.modes.shape[1:] != (3, *grid.shape):
             raise ValueError(f"noise modes of shape {self.modes.shape[1:]} on grid {grid.shape}")
@@ -87,15 +85,6 @@ class NoiseModel:
             check_divfree(grid, xi, f"noise mode {i}", "xi", XI_DIV_TOL)
         self.constant_flags = tuple(_is_uniform(xi) for xi in self.modes)
         self.harmonic = [i for i, const in enumerate(self.constant_flags) if not const]
-
-    @cached_property
-    def harmonic_grads(self) -> np.ndarray:
-        """The harmonic modes' partials, harmonic_grads[h, k, j] = d_k xi_h^j
-        (a uniform mode's partials vanish), computed on first use: only the
-        1-form density transport reads them."""
-        if not self.harmonic:
-            return np.zeros((0, 3, 3, *self.grid.shape))
-        return np.stack([_grad_vector_arr(self.grid, self.modes[i]) for i in self.harmonic])
 
     @property
     def n_modes(self) -> int:

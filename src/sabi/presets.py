@@ -65,9 +65,7 @@ def random_divfree_field(
     rng = _preset_rng(seed, salt)
     raw = rng.standard_normal((3, *grid.shape))
     spec = grid.rfft(raw)
-    mx = np.abs(np.fft.fftfreq(grid.nx) * grid.nx) <= kmax
-    my = np.abs(np.fft.fftfreq(grid.ny) * grid.ny) <= kmax
-    mz = np.fft.rfftfreq(grid.nz) * grid.nz <= kmax
+    mx, my, mz = grid.mode_masks((kmax, kmax, kmax))
     spec *= mx[:, None, None] & my[None, :, None] & mz[None, None, :]
     spec[..., 0, 0, 0] = 0.0
     vals = grid.irfft(spec)

@@ -105,7 +105,7 @@ def suite_operators(grid_n: int = 32, **_) -> SuiteReport:
     xi = _band_limited(grid, seed=103, kmax=kb, divfree=True)
     D = _band_limited(grid, seed=104, kmax=kb, divfree=True)
     raw = GridSpec(grid_n, grid_n, grid_n, dealias=False)
-    out = -_TRANSPORT[TWO_FORM](raw, xi, None, D)
+    out = -_TRANSPORT[TWO_FORM](raw, xi, D)
     gxi = _grad_vector_arr(grid, xi)
     gD = _grad_vector_arr(grid, D)
     bracket = np.einsum("j...,jk...->k...", xi, gD) - np.einsum("j...,jk...->k...", D, gxi)

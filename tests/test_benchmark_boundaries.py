@@ -108,11 +108,10 @@ def test_generic_noise_run_calls_every_wrapped_boundary(monkeypatch):
     assert calls["heun_stratonovich_step"] == cfg.integrator.n_steps == 4
 
 
-def test_bi_drift_counts_twelve_scalar_transforms(monkeypatch):
-    # spans.py counts prod(args[1].shape[:-3]) per GridSpec.rfft/irfft call,
-    # so every transform, band or full, must pass its array positionally
-    from sabi.dynamics import get_model, make_drift
-
+def spy_on_scalar_transforms(monkeypatch) -> Counter:
+    """Count scalar transforms by spans.py's rule, prod(args[1].shape[:-3])
+    per GridSpec.rfft/irfft call; so every transform, band or full, must
+    pass its array positionally."""
     counts = Counter()
     for name in ("rfft", "irfft"):
         original = GridSpec.__dict__[name]
@@ -122,12 +121,36 @@ def test_bi_drift_counts_twelve_scalar_transforms(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(GridSpec, name, spy)
-    grid = GridSpec(8, 8, 8)
+    return counts
+
+
+def random_state(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(3)
-    state = tuple(0.1 * rng.standard_normal((3, *grid.shape)) for _ in range(2))
-    make_drift(get_model("bi"), grid)(state)
+    return tuple(0.1 * rng.standard_normal((3, *grid.shape)) for _ in range(2))
+
+
+def test_bi_drift_counts_twelve_scalar_transforms(monkeypatch):
+    from sabi.dynamics import get_model, make_drift
+
+    counts = spy_on_scalar_transforms(monkeypatch)
+    grid = GridSpec(8, 8, 8)
+    make_drift(get_model("bi"), grid)(random_state(grid))
     # two curls of (3, ...) fields: 6 forward and 6 inverse scalar transforms
     assert counts == {"rfft": 6, "irfft": 6}
+
+
+def test_mhd_noise_op_counts_twenty_two_scalar_transforms(monkeypatch):
+    from sabi.dynamics import get_model, make_noise_op
+    from sabi.noise import make_divfree_mode
+
+    grid = GridSpec(8, 8, 8)
+    noise = NoiseModel(grid, [make_divfree_mode(grid, k=(0, 0, 1), a=(0.3, 0.0, 0.0))])
+    g = make_noise_op(get_model("mhd-stratonovich"), grid, noise)
+    counts = spy_on_scalar_transforms(monkeypatch)
+    g(random_state(grid), np.ones(1))
+    # P: grad(xi.P) 1 + 3, curl P 3 + 3 and the band truncation 3 + 3;
+    # B: the band curl of xi x B, 3 + 3
+    assert counts == {"rfft": 10, "irfft": 12}
 
 
 def test_fft_calls_live_in_gridspec_and_point_evaluation():

@@ -32,7 +32,7 @@ from sabi.grid import (
 )
 from sabi.noise import NoiseModel, make_constant_mode, make_divfree_mode
 
-from test_grid import max_norm, random_band_limited
+from test_grid import full_fft_partials, max_norm, random_band_limited
 
 
 @pytest.fixture(scope="module")
@@ -65,11 +65,10 @@ def apply(factory, model, grid, arrs, noise=None, *dW):
 def twice_transported(model, grid, xi, arrs):
     """(1/2) T T F for each component F, T its degree's transport along xi:
     the Ito correction of xi computed as a harmonic mode."""
-    grad_xi = _grad_vector_arr(grid, xi)
     out = []
     for (_, degree), F in zip(get_model(model).components, arrs):
         T = _TRANSPORT[degree]
-        out.append(0.5 * T(grid, xi, grad_xi, T(grid, xi, grad_xi, F)))
+        out.append(0.5 * T(grid, xi, T(grid, xi, F)))
     return out
 
 
@@ -315,19 +314,6 @@ def along(xi, grad_xi):
     return np.einsum("k...,kj...->j...", xi, grad_xi)
 
 
-def full_fft_partials(grid, f):
-    """d_k f^j by complex FFTs of the whole box, layout [k, j]; shares no
-    code with the grid's rfft kernels."""
-    axes = (-3, -2, -1)
-    spec = np.fft.fftn(f, axes=axes)
-    k1 = [
-        2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
-        for n, length in ((grid.nx, grid.Lx), (grid.ny, grid.Ly), (grid.nz, grid.Lz))
-    ]
-    ks = (k1[0][:, None, None], k1[1][None, :, None], k1[2][None, None, :])
-    return np.stack([np.fft.ifftn(1j * k * spec, axes=axes).real for k in ks])
-
-
 class TestTransportTable:
     @pytest.mark.parametrize(
         "n, length",
@@ -349,8 +335,8 @@ class TestTransportTable:
         gxi, geta = _grad_vector_arr(g, xi), _grad_vector_arr(g, eta)
         bracket = along(xi, geta) - along(eta, gxi)
         T = _TRANSPORT[degree]
-        lhs = T(g, xi, gxi, T(g, eta, geta, F)) - T(g, eta, geta, T(g, xi, gxi, F))
-        rhs = -T(g, bracket, _grad_vector_arr(g, bracket), F)
+        lhs = T(g, xi, T(g, eta, F)) - T(g, eta, T(g, xi, F))
+        rhs = -T(g, bracket, F)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
     def test_every_kind_has_an_ito_correction(self, grid):

@@ -8,6 +8,7 @@ vector-field bracket as gradients + pointwise products).
 import numpy as np
 import pytest
 
+from sabi.dynamics import _TRANSPORT, ONE_FORM_DENSITY
 from sabi.errors import ConstraintError
 from sabi.grid import (
     CURL_INV_DIV_TOL,
@@ -27,6 +28,8 @@ from sabi.grid import (
     _maybe_truncate,
     _transport_2form_arr,
 )
+from sabi.noise import make_constant_mode, make_divfree_mode
+from sabi.presets import random_divfree_field
 
 TWO_PI = 2.0 * np.pi
 
@@ -67,8 +70,38 @@ def lie2form(grid, xi, D):
     return -_transport_2form_arr(grid, xi, D)
 
 
-def lie_1form_density(grid, xi, P):
-    return _lie_1form_density_arr(grid, xi, _grad_vector_arr(grid, xi), P)
+def full_fft_partials(grid, f):
+    """d_k f^j by complex FFTs of the whole box, layout [k, j]; shares no
+    code with the grid's rfft kernels."""
+    axes = (-3, -2, -1)
+    spec = np.fft.fftn(f, axes=axes)
+    k1 = [
+        2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
+        for n, length in ((grid.nx, grid.Lx), (grid.ny, grid.Ly), (grid.nz, grid.Lz))
+    ]
+    ks = (k1[0][:, None, None], k1[1][None, :, None], k1[2][None, None, :])
+    return np.stack([np.fft.ifftn(1j * k * spec, axes=axes).real for k in ks])
+
+
+def full_fft_truncate(grid, f):
+    """f with the complex-FFT modes beyond |m_i| <= (n_i - 1) // 3 zeroed,
+    when the grid dealiases."""
+    if not grid.dealias:
+        return f
+    axes = (-3, -2, -1)
+    keep = [np.abs(np.rint(np.fft.fftfreq(n) * n)) <= (n - 1) // 3 for n in grid.shape]
+    mask = keep[0][:, None, None] & keep[1][None, :, None] & keep[2][None, None, :]
+    return np.fft.ifftn(np.fft.fftn(f, axes=axes) * mask, axes=axes).real
+
+
+def product_rule_lie_1form_density(grid, xi, P):
+    """The 1-form density's Lie derivative in product-rule form,
+    d_j(xi^j P_k) + P_j d_k xi^j, from complex-FFT partials; it holds for
+    any xi and equals the kernel's Cartan form when div xi = 0."""
+    d_flux = full_fft_partials(grid, xi[:, None] * P[None, :])  # [l, j, k] = d_l(xi^j P_k)
+    return np.einsum("jjk...->k...", d_flux) + np.einsum(
+        "j...,kj...->k...", P, full_fft_partials(grid, xi)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +135,20 @@ class TestGridSpec:
         assert g.dealias_mask[10, 0, 0]
         assert not g.dealias_mask[11, 0, 0]
         assert not g.dealias_mask[0, 0, 11]
+
+    def test_dealias_mask_keeps_every_mode_to_keep(self):
+        # integer mode indices: at n = 10 the float 0.3 * 10 exceeds 3
+        for n in range(4, 65, 2):
+            g = GridSpec(n, n, n)
+            keep = (n - 1) // 3
+            mask = g.dealias_mask
+            rows = [mask.any(axis=axes).sum() for axes in ((1, 2), (0, 2), (0, 1))]
+            assert rows == [2 * keep + 1, 2 * keep + 1, keep + 1], n
+
+    def test_preset_band_reaches_kmax(self):
+        g = GridSpec(10, 10, 10)
+        f = random_divfree_field(g, seed=1, salt=1, kmax=3, amplitude=1.0)
+        assert np.max(np.abs(g.rfft(f)[0, 3])) > 1e-3
 
 
 class TestDerivatives:
@@ -207,19 +254,36 @@ class TestLieDerivatives:
         D = random_band_limited(grid16, seed=12, kmax=4, divfree=True)
         assert max_div(grid16, lie2form(grid16, xi, D)) < 1e-12
 
-    # For divergence-free xi the 1-form-density Lie derivative equals the
-    # 1-form one, (xi.grad)P + P_j grad(xi^j), which gives the next two oracles.
+    # The kernel's Cartan form against the product-rule form, and (for
+    # divergence-free xi, where the density's Lie derivative equals the
+    # 1-form one) against the next two oracles.
     def test_lie_1form_density_self_transport(self, grid16):
         v = random_band_limited(grid16, seed=15, kmax=3, divfree=True)
-        out = lie_1form_density(grid16, v, v)
-        expected = -np.cross(v, curl(grid16, v), axis=0) + grad(grid16, np.sum(v**2, axis=0))
+        out = _lie_1form_density_arr(grid16, v, v)
+        expected = product_rule_lie_1form_density(grid16, v, v)
         assert np.max(np.abs(out - expected)) < 1e-10
+
+    @pytest.mark.parametrize("dealias", [False, True], ids=["raw", "dealias"])
+    @pytest.mark.parametrize("mode", ["random", "harmonic", "uniform"])
+    def test_transport_1form_density_is_product_rule(self, mode, dealias):
+        # the transport kernel is minus the Lie derivative, truncated to the
+        # 2/3 band when the grid dealiases
+        g = GridSpec(16, 16, 16, dealias=dealias)
+        xi = {
+            "random": lambda: random_band_limited(g, seed=24, kmax=3, divfree=True),
+            "harmonic": lambda: make_divfree_mode(g, k=(1, 2, 0), a=(0.3, -0.2, 0.5), phase=0.7),
+            "uniform": lambda: make_constant_mode(g, a=(0.4, -0.3, 0.2)),
+        }[mode]()
+        P = random_band_limited(g, seed=25, kmax=3)
+        got = -_TRANSPORT[ONE_FORM_DENSITY](g, xi, P)
+        want = full_fft_truncate(g, product_rule_lie_1form_density(g, xi, P))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_lie_1form_density_commutes_with_gradient(self, grid16):
         xi = random_band_limited(grid16, seed=17, kmax=3, divfree=True)
         f = random_band_limited(grid16, seed=18, kmax=3, vector=False)
         gf = grad(grid16, f)
-        out = lie_1form_density(grid16, xi, gf)
+        out = _lie_1form_density_arr(grid16, xi, gf)
         expected = grad(grid16, np.sum(xi * gf, axis=0))
         assert np.max(np.abs(out - expected)) < 1e-10
 
@@ -227,7 +291,7 @@ class TestLieDerivatives:
         X, _, _ = grid16.meshgrid()
         xi = np.stack([np.ones_like(X), 0 * X, 0 * X])
         P = random_band_limited(grid16, seed=20, kmax=3)
-        out = lie_1form_density(grid16, xi, P)
+        out = _lie_1form_density_arr(grid16, xi, P)
         spec = grid16.rfft(P)
         adv = grid16.irfft(1j * grid16.kx * spec)
         assert np.max(np.abs(out - adv)) < 1e-11
@@ -254,8 +318,7 @@ class TestDealiasing:
 
 # Non-cubic even grids from 4 to 24 samples per axis, in 2pi and other boxes;
 # 6 and 10 included, where dealias_keep = (n - 1) // 3 rounds down (at 10 the
-# mask keeps one mode fewer per side than dealias_keep, and the band follows
-# the mask).
+# band keeps modes up to 3, whose float frequency 0.3 * 10 exceeds 3).
 BAND_GRIDS = [
     GridSpec(4, 6, 10),
     GridSpec(10, 24, 8, Lx=1.0, Ly=2.5, Lz=5.0),

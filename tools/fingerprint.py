@@ -16,12 +16,12 @@ It uses only the config-level API (`parse_config`, `run_ensemble`,
 `resume_member`, `cfg.noise` with the three dynamics factories, and
 `verify.run_suite`), so the same file runs on older trees. The matrix: all
 ten models at 16^3 (generic and spectral paths, dealias on and off, uniform,
-harmonic and mixed noise), the factories' outputs on those runs' final
-states, one iteration of each perfbench workload at seed 1234 (with the
-mhd-io-32 resume and every file it writes), and the check values of the
-operators, variational-derivatives, ito-stratonovich, expectation-pde,
-pure-transport and hamiltonian-structure suites. A full run takes about a
-minute on one core.
+harmonic and mixed noise) and `bi` at 10^3, the factories' outputs on those
+runs' final states, one iteration of each perfbench workload at seed 1234
+(with the mhd-io-32 resume and every file it writes), and the check values
+of the operators, variational-derivatives, ito-stratonovich,
+expectation-pde, pure-transport and hamiltonian-structure suites. A full
+run takes about a minute on one core.
 """
 
 from __future__ import annotations
@@ -62,14 +62,15 @@ def run_config(
     members: int = 1,
     initial: dict | None = None,
     scheme: str | None = None,
+    n: int = 16,
 ) -> dict:
-    """A 16^3 run of 4 steps with diagnostics every step."""
+    """An n^3 run of 4 steps with diagnostics every step."""
     integrator = {"dt": 0.01, "t_end": 0.04}
     if scheme is not None:
         integrator["scheme"] = scheme
     return {
         "model": model,
-        "grid": {"nx": 16, "ny": 16, "nz": 16, "dealias": dealias},
+        "grid": {"nx": n, "ny": n, "nz": n, "dealias": dealias},
         "initial": initial or {},
         "noise": {"modes": list(modes)},
         "integrator": integrator,
@@ -93,6 +94,9 @@ def run_matrix() -> list[tuple[str, dict]]:
                 cases.append((f"{model}-uniform{n}{tag}", run_config(model, modes, dealias)))
     cases += [
         ("bi-plane-wave", run_config("bi", initial={"preset": "plane-wave", "amplitude": 0.2})),
+        # at 10^3 the dealias band keeps mode 3, whose float frequency
+        # 0.3 * 10 exceeds 3
+        ("bi-10", run_config("bi", n=10)),
         ("maxwell", run_config("maxwell")),
         ("maxwell-ito-mixed", run_config("maxwell-ito", (CONST, HARMONIC), members=2)),
         ("maxwell-ito-harmonic", run_config("maxwell-ito", (HARMONIC, HARMONIC2))),
